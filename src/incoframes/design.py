@@ -5,21 +5,27 @@ its orthonormal polar factor), each sweep visits the vectors in randomized
 order and replaces one vector at a time by the normalized solution of its
 trust-region minimax subproblem. Sign flips keep all correlations with the
 active vector non-negative, the trust radius stays strictly inside the
-per-vector safe bound, far-away neighbors are dropped from the subproblem,
-and a tie gate skips vectors whose update provably cannot make progress.
+per-vector safe bound, and a tie gate skips vectors whose update provably
+cannot make progress.
 When sweeps flatten out, an orthonormal-polar "escape" step retightens the
 frame and the search continues; the best frame ever seen is returned.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateVector, InvalidInput, RankDeficient, SolverStall
-from .frames import Frame, FrameMetrics, frame_metrics, unit_columns
+from .frames import (
+    Frame,
+    FrameMetrics,
+    correlations,
+    frame_metrics,
+    random_unit_frame,
+    unit_columns,
+)
 from .linalg import unit_polar
 from .minimax import TrustSubproblem, solve_subproblem
 
@@ -49,7 +55,6 @@ class DesignConfig:
     radius_slack: float = 1e-4
     solver_tol: float = 1e-8
     nonneg: bool = False
-    escape_enabled: bool = True
 
     def __post_init__(self):
         if self.m < 2 or self.n_vectors < self.m:
@@ -62,8 +67,6 @@ class DesignConfig:
             raise InvalidInput(f"radius_slack must be in (0, 0.1], got {self.radius_slack}")
         if not (0.0 < self.solver_tol <= 1e-4):
             raise InvalidInput(f"solver_tol must be in (0, 1e-4], got {self.solver_tol}")
-        if self.nonneg and self.escape_enabled:
-            object.__setattr__(self, "escape_enabled", False)
 
 
 @dataclass
@@ -106,34 +109,18 @@ class SweepReport:
     final_metrics: FrameMetrics | None = None
 
 
-def _coherence(work):
-    g = work.T @ work
-    np.fill_diagonal(g, 0.0)
-    return float(np.abs(g).max())
-
-
-def random_unit_frame(m, n_vectors, seed, nonneg=False):
-    """Raw seeded random frame: column-normalized Gaussian entries
-    (entrywise absolute values first in nonneg mode)."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n_vectors))
-    if nonneg:
-        a = np.abs(a)
-    return Frame(unit_columns(a))
-
-
 def _initial_matrix(cfg):
     """Seeded start matrix, its pre-refinement coherence, and the generator
     to keep using for sweep orders."""
     last = None
     for attempt in range(5):
         rng = np.random.default_rng(cfg.seed + attempt)
-        a = rng.standard_normal((cfg.m, cfg.n_vectors))
+        # Row-major, as drawn: the sweep's floating-point results depend on the layout.
+        a = np.ascontiguousarray(random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors)
         if cfg.nonneg:
-            a = unit_columns(np.abs(a))
-            return _coherence(a), a, rng
-        a = unit_columns(a)
-        raw_mu = _coherence(a)
+            a = np.abs(a)
+            return float(correlations(a)[1].max()), a, rng
+        raw_mu = float(correlations(a)[1].max())
         try:
             a = unit_columns(unit_polar(a))
         except RankDeficient as exc:
@@ -163,31 +150,6 @@ def choose_radius(frame, i, slack=1e-4):
     return (1.0 - slack) * (1.0 - gmax * gmax)
 
 
-def _kept_neighbors(corr, i):
-    """Indices j != i with angle(h_j, h_i) <= 3 * min angle; corr must be canonicalized."""
-    others = np.flatnonzero(np.arange(corr.size) != i)
-    g = np.clip(corr[others], 0.0, 1.0)
-    phi = np.arccos(g)
-    keep = phi <= 3.0 * phi.min()
-    return others[keep]
-
-
-def reduce_neighbors(frame, i):
-    """Drop far-away neighbors: keep j with angle within three times the smallest.
-
-    The frame must be sign-canonicalized around column i (all correlations
-    non-negative). The argmax neighbor is always kept; the reduced and full
-    subproblems share the same solution because dropped planes are slack at
-    the optimum.
-    """
-    v = frame.vectors
-    corr = v.T @ v[:, i]
-    corr[i] = 1.0
-    if corr.min() < -1e-10:
-        raise InvalidInput(f"frame is not sign-canonicalized around column {i}")
-    return _kept_neighbors(corr, i)
-
-
 def _sweep_inplace(work, cfg, rng):
     """One randomized pass updating ``work`` columns in place."""
     m, n = work.shape
@@ -213,10 +175,9 @@ def _sweep_inplace(work, cfg, rng):
             stats.tie_skips += 1
             continue
         radius_sq = (1.0 - cfg.radius_slack) * (1.0 - gmax * gmax)
-        nb_idx = _kept_neighbors(corr, i)
         problem = TrustSubproblem(
             reference=col.copy(),
-            neighbors=work[:, nb_idx],
+            neighbors=np.delete(work, i, axis=1),
             radius_sq=radius_sq,
             nonneg=cfg.nonneg,
         )
@@ -269,11 +230,11 @@ def run(cfg, initial=None):
             )
         work = np.array(initial.vectors, order="F", copy=True)
         rng = np.random.default_rng(cfg.seed)
-        raw_mu = _coherence(work)
+        raw_mu = float(correlations(work)[1].max())
     else:
         raw_mu, work, rng = _initial_matrix(cfg)
 
-    mu = _coherence(work)
+    mu = float(correlations(work)[1].max())
     report = SweepReport(raw_coherence=raw_mu, initial_coherence=mu)
     best = work.copy()
     best_mu = mu
@@ -285,7 +246,7 @@ def run(cfg, initial=None):
             break
         started = time.perf_counter()
         stats = _sweep_inplace(work, cfg, rng)
-        mu_new = _coherence(work)
+        mu_new = float(correlations(work)[1].max())
         report.sweep_seconds.append(time.perf_counter() - started)
         report.trace.append(mu_new)
         report.stalled.append(stats.stalled)
@@ -297,12 +258,12 @@ def run(cfg, initial=None):
             best = work.copy()
             report.best_sweep = k
         if (
-            cfg.escape_enabled
+            not cfg.nonneg
             and len(decreases) >= 3
             and (decreases[-1] + decreases[-2] + decreases[-3]) / 3.0 < cfg.eps_stop
         ):
             work = np.asfortranarray(unit_columns(unit_polar(work)))
-            mu = _coherence(work)
+            mu = float(correlations(work)[1].max())
             report.escape_sweeps.append(k)
             report.escape_coherence.append(mu)
             if mu < best_mu:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .errors import FrameFormatError, InvalidInput
-from .frames import Frame, frame_metrics, mutual_coherence
+from .frames import Frame, correlations, mutual_coherence, welch_bound
 
 _FORMAT_NAME = "incoframes-frame"
 _FORMAT_VERSION = 1
@@ -133,7 +133,7 @@ def write_manifest(path, cfg, report, wall_seconds):
             "radius_slack": cfg.radius_slack,
             "solver_tol": cfg.solver_tol,
             "nonneg": cfg.nonneg,
-            "escape_enabled": cfg.escape_enabled,
+            "escape_enabled": not cfg.nonneg,
         },
         "raw_coherence": report.raw_coherence,
         "initial_coherence": report.initial_coherence,
@@ -162,15 +162,16 @@ def write_correlation_profile(path, frame):
 
     Returns ``(fraction_above_099mu, fraction_above_095mu)``.
     """
-    g = frame.gram()
-    vals = np.sort(np.abs(g[np.triu_indices(frame.n_vectors, k=1)]))[::-1]
+    _, off = correlations(frame.vectors)
+    vals = np.sort(off)[::-1]
     mu = float(vals[0])
     frac99 = float((vals >= 0.99 * mu).mean()) if mu > 0.0 else 0.0
     frac95 = float((vals >= 0.95 * mu).mean()) if mu > 0.0 else 0.0
-    fm = frame_metrics(frame)
+    mu_avg = float(off.mean())
+    welch = welch_bound(frame.m, frame.n_vectors)
     buf = io.StringIO()
     buf.write(f"# m={frame.m},n_vectors={frame.n_vectors}\n")
-    buf.write(f"# mu={mu!r},mu_avg={fm.mu_avg!r},welch={fm.welch!r}\n")
+    buf.write(f"# mu={mu!r},mu_avg={mu_avg!r},welch={welch!r}\n")
     buf.write(f"# frac_above_099mu={frac99!r},frac_above_095mu={frac95!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rank", "abs_correlation"])

@@ -47,8 +47,9 @@ class Frame:
                 f"columns must be unit norm within {_UNIT_TOL:g}; "
                 f"worst deviation {np.abs(norms - 1.0).max():.3e}"
             )
-        # Column-major storage, frozen against accidental mutation.
-        v = np.asfortranarray(v)
+        # A private column-major copy, frozen against accidental mutation;
+        # the caller's array stays theirs.
+        v = np.array(v, order="F")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
@@ -90,31 +91,45 @@ def welch_bound(m, n):
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
+def random_unit_frame(m, n_vectors, seed):
+    """Seeded random frame: column-normalized standard Gaussian entries.
+
+    ``seed`` is anything ``numpy.random.default_rng`` accepts; a Generator is
+    used as is and advanced by the draw.
+    """
+    rng = np.random.default_rng(seed)
+    return Frame(unit_columns(rng.standard_normal((m, n_vectors))))
+
+
+def correlations(v):
+    """Gram matrix of the columns of ``v`` and its off-diagonal magnitudes.
+
+    Returns ``(g, off)`` where ``off`` holds ``|g[i, j]|`` for ``i < j`` in
+    row-major order. ``v`` is any 2-D array, not only ``Frame.vectors``.
+    """
+    g = v.T @ v
+    return g, np.abs(g[np.triu_indices(v.shape[1], k=1)])
+
+
 def mutual_coherence(frame):
     """Largest absolute inner product between distinct columns."""
-    g = frame.gram()
-    off = np.abs(g[np.triu_indices(frame.n_vectors, k=1)])
-    return float(off.max())
+    return float(correlations(frame.vectors)[1].max())
 
 
 def average_coherence(frame):
     """Mean absolute inner product over distinct column pairs."""
-    g = frame.gram()
-    off = np.abs(g[np.triu_indices(frame.n_vectors, k=1)])
-    return float(off.mean())
+    return float(correlations(frame.vectors)[1].mean())
 
 
 def frame_potential(frame):
     """Squared Frobenius norm of the Gram matrix; at least N^2/m, with equality iff tight."""
-    g = frame.gram()
+    g, _ = correlations(frame.vectors)
     return float((g * g).sum())
 
 
 def frame_metrics(frame):
     """All scalar metrics of a frame in one pass."""
-    g = frame.gram()
-    n = frame.n_vectors
-    off = np.abs(g[np.triu_indices(n, k=1)])
+    g, off = correlations(frame.vectors)
     mu = float(off.max())
     # The cap is inclusive at the boundary; guard the floor against the
     # one-ulp overshoot when 1/mu lands on an integer (e.g. mu = 1/3).
@@ -123,7 +138,7 @@ def frame_metrics(frame):
         mu=mu,
         mu_avg=float(off.mean()),
         frame_potential=float((g * g).sum()),
-        welch=welch_bound(frame.m, n),
+        welch=welch_bound(frame.m, frame.n_vectors),
         sparsity_cap=cap,
     )
 
@@ -189,9 +204,7 @@ def certify_etf(frame, tol=1e-6):
         raise InvalidInput(f"tol must be in (0, 1e-2], got {tol}")
     v = frame.vectors
     m, n = v.shape
-    g = v.T @ v
-    iu = np.triu_indices(n, k=1)
-    off = np.abs(g[iu])
+    _, off = correlations(v)
     mu = float(off.max())
     spread = float(off.max() - off.min())
     is_eq = spread <= tol * max(mu, 1e-300) if mu > 0.0 else True
@@ -203,12 +216,10 @@ def certify_etf(frame, tol=1e-6):
         return EtfCertificate(is_equiangular=is_eq, is_tight=is_tight, mu_attained=mu)
 
     canon, _ = canonicalize_signs(frame, 0)
-    neigh = np.delete(canon.vectors, 0, axis=1)
-    gn = neigh.T @ neigh
+    gc = canon.gram()
     target = (n - m) / m
-    eigen_residual = float(np.abs(gn @ np.ones(n - 1) - target).max())
+    eigen_residual = float(np.abs(gc[1:, 1:] @ np.ones(n - 1) - target).max())
 
-    gc = canon.vectors.T @ canon.vectors
     signs = np.sign(gc)
     np.fill_diagonal(signs, 0.0)
     balance = signs.sum(axis=0)  # N+ minus N- per column

@@ -501,23 +501,3 @@ def _package(problem, x, z, gap, iterations, converged):
     sol.residuals = kkt_residuals(problem, sol)
     return sol
 
-
-def stall_detect(problem, solution, tie_tol=1e-9):
-    """Classify a solution as a pure shrink toward the reference vector.
-
-    Returns ``(stalled, active)`` where ``active`` holds the indices j with
-    ``h_j^T f >= t - tie_tol`` and ``stalled`` is true when the step
-    ``h - f`` is aligned with the reference ray up to a relative ``tie_tol``
-    (the no-progress situation: f is just a scaled copy of h, so normalizing
-    undoes the step).
-    """
-    f = np.asarray(solution.f, dtype=float)
-    h = problem.reference
-    active = np.flatnonzero(problem.neighbors.T @ f >= solution.t - tie_tol)
-    r = h - f
-    r_norm = float(np.linalg.norm(r))
-    if r_norm == 0.0:
-        return True, active
-    perp = r - (h @ r) * h
-    stalled = bool(np.linalg.norm(perp) <= tie_tol * r_norm)
-    return stalled, active

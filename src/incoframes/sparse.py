@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, RankDeficient
-from .frames import Frame, mutual_coherence, unit_columns
+from .frames import Frame, mutual_coherence, random_unit_frame, unit_columns
 from .linalg import least_squares, svd
 
 _RESIDUAL_TOL = 1e-12
@@ -107,10 +107,8 @@ class CsResult:
     errors: np.ndarray | None = field(default=None, repr=False)
 
 
-def random_sensing_frame(m, n, seed):
-    """Column-normalized Gaussian sensing frame, the benchmark baseline."""
-    rng = np.random.default_rng(seed)
-    return Frame(unit_columns(rng.standard_normal((m, n))))
+# The benchmark baseline: a column-normalized Gaussian sensing frame.
+random_sensing_frame = random_unit_frame
 
 
 def run_cs_experiment(experiment, sensing, keep_errors=True):

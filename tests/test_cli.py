@@ -88,14 +88,11 @@ class TestDesign:
         assert "--m" in capsys.readouterr().err
 
     def test_bad_seed_list(self, tmp_path, capsys):
-        code = run_cli(
-            "design", "--m", "4", "--N", "8", "--seeds", "x,y", "--out", str(tmp_path)
-        )
-        assert code == 2
-        code = run_cli(
-            "design", "--m", "4", "--N", "8", "--seeds", "9..3", "--out", str(tmp_path)
-        )
-        assert code == 2
+        for seeds in ("x,y", "9..3", ","):
+            code = run_cli(
+                "design", "--m", "4", "--N", "8", "--seeds", seeds, "--out", str(tmp_path)
+            )
+            assert code == 2, seeds
 
     def test_invalid_dimensions(self, tmp_path):
         code = run_cli("design", "--m", "9", "--N", "4", "--out", str(tmp_path))
@@ -198,6 +195,11 @@ class TestCsBench:
             "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_empty_m_list(self, tmp_path):
+        code = run_cli("cs-bench", "--m-list", ",", "--trials", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "cs_bench.csv").exists()
 
     def test_unknown_source(self, tmp_path):
         code = run_cli(

@@ -1,5 +1,5 @@
-"""Driver-level behaviour: initialization, trust radii, neighbor reduction,
-single sweeps, escape scheduling, and full runs on small frames."""
+"""Driver-level behaviour: initialization, trust radii, single sweeps,
+escape scheduling, and full runs on small frames."""
 
 import numpy as np
 import pytest
@@ -9,27 +9,14 @@ from incoframes import (
     DesignConfig,
     Frame,
     InvalidInput,
-    TrustSubproblem,
     choose_radius,
     initialize,
     make_simplex_etf,
     mutual_coherence,
     random_unit_frame,
-    reduce_neighbors,
     run,
-    solve_subproblem,
     sweep,
 )
-
-
-def canonicalized(frame, i):
-    """Copy with every column flipped so correlations with column i are >= 0."""
-    v = np.array(frame.vectors, copy=True)
-    corr = v.T @ v[:, i]
-    neg = corr < 0.0
-    neg[i] = False
-    v[:, neg] *= -1.0
-    return Frame(v)
 
 
 def run_in(m, n, seed, sweeps=2):
@@ -54,11 +41,6 @@ class TestConfigValidation:
             DesignConfig(m=4, n_vectors=8, radius_slack=0.2)
         with pytest.raises(InvalidInput):
             DesignConfig(m=4, n_vectors=8, solver_tol=1e-3)
-
-    def test_nonneg_forces_escape_off(self):
-        cfg = DesignConfig(m=4, n_vectors=8, nonneg=True, escape_enabled=True)
-        assert cfg.escape_enabled is False
-
 
 class TestInitialization:
     def test_raw_gaussian_coherence_level(self):
@@ -119,74 +101,6 @@ class TestChooseRadius:
             choose_radius(Frame(v), 3)
         with pytest.raises(DegenerateVector):
             choose_radius(Frame(v), 8)
-
-
-class TestNeighborReduction:
-    def test_requires_canonicalized_frame(self):
-        frame = random_unit_frame(6, 15, seed=8)
-        v = frame.vectors
-        i = 0
-        assert (v.T @ v[:, i]).min() < -1e-6  # raw Gaussian has negative correlations
-        with pytest.raises(InvalidInput):
-            reduce_neighbors(frame, i)
-
-    def test_keeps_argmax_neighbor(self):
-        frame = run_in(10, 40, seed=9)
-        for i in (0, 5, 33):
-            fr = canonicalized(frame, i)
-            corr = fr.vectors.T @ fr.vectors[:, i]
-            corr[i] = -1.0
-            kept = reduce_neighbors(fr, i)
-            assert int(np.argmax(corr)) in kept
-            assert i not in kept
-
-    def test_moderate_coherence_drops_nothing(self):
-        # The rule keeps angles within 3x the smallest. Below peak
-        # correlation cos(30 deg) that window already covers 90 deg,
-        # so refined frames keep every neighbor.
-        frame = run_in(15, 120, seed=10)
-        assert mutual_coherence(frame) < 0.866
-        for i in (0, 40, 90):
-            fr = canonicalized(frame, i)
-            assert reduce_neighbors(fr, i).size == 119
-
-    @staticmethod
-    def _clustered_frame(m, n_far, seed, spread=0.12):
-        # Column 0 plus 6 tight satellites, then far-away filler columns.
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(m)
-        cluster = u[:, None] + spread * rng.standard_normal((m, 6))
-        far = rng.standard_normal((m, n_far))
-        v = np.concatenate([u[:, None], cluster, far], axis=1)
-        v /= np.linalg.norm(v, axis=0)
-        return Frame(v)
-
-    def test_reduced_problem_has_same_solution(self):
-        # Dropped planes are slack at the optimum, so the reduced and the
-        # full subproblem agree on both the objective and the minimizer.
-        # Reduction bites on clustered frames and on near-duplicate 2D ones.
-        cases = []
-        for seed in range(8):
-            cases.append((self._clustered_frame(5, 30, seed), 0))
-        for seed in range(8):
-            cases.append((Frame(random_unit_frame(2, 25, seed=100 + seed).vectors), 0))
-        checked = 0
-        for frame, i in cases:
-            fr = canonicalized(frame, i)
-            v = fr.vectors
-            n = v.shape[1]
-            radius = choose_radius(fr, i)
-            ref = v[:, i].copy()
-            others = np.flatnonzero(np.arange(n) != i)
-            kept = reduce_neighbors(fr, i)
-            if kept.size == others.size:
-                continue  # nothing dropped, equivalence is vacuous
-            full = solve_subproblem(TrustSubproblem(ref, v[:, others], radius))
-            red = solve_subproblem(TrustSubproblem(ref, v[:, kept], radius))
-            assert abs(full.t - red.t) < 1e-7
-            assert np.abs(full.f - red.f).max() < 1e-5
-            checked += 1
-        assert checked >= 12
 
 
 class TestSweep:
@@ -277,13 +191,6 @@ class TestRun:
         cfg = DesignConfig(m=6, n_vectors=12, sweeps=9, seed=19, eps_stop=0.9)
         _, rep = run(cfg)
         assert rep.escape_sweeps == [3, 6, 9]
-
-    def test_escape_disabled(self):
-        cfg = DesignConfig(
-            m=6, n_vectors=12, sweeps=9, seed=19, eps_stop=0.9, escape_enabled=False
-        )
-        _, rep = run(cfg)
-        assert rep.escape_sweeps == []
 
     def test_returns_best_frame_seen(self):
         cfg = DesignConfig(m=10, n_vectors=30, sweeps=12, seed=20)

@@ -34,6 +34,16 @@ class TestFrameContainer:
         assert np.allclose(fr.vectors, v)
         assert not fr.vectors.flags.writeable
 
+    def test_caller_array_is_copied_not_frozen(self):
+        # A float, column-major input is the layout a no-copy conversion aliases.
+        rng = np.random.default_rng(2)
+        v = np.asfortranarray(unit_columns(rng.standard_normal((4, 9))))
+        fr = Frame(v)
+        before = fr.vectors.copy()
+        assert v.flags.writeable
+        v[:, 0] = -v[:, 0]
+        assert np.array_equal(fr.vectors, before)
+
     def test_gram_is_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(1)
         fr = Frame(unit_columns(rng.standard_normal((5, 11))))

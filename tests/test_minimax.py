@@ -16,7 +16,6 @@ from incoframes import (
     kkt_residuals,
     make_simplex_etf,
     solve_subproblem,
-    stall_detect,
     sweep,
     unit_columns,
 )
@@ -202,24 +201,6 @@ class TestNonnegativeVariant:
         sol_nn = solve_subproblem(TrustSubproblem(v[:, 1], nb, radius, nonneg=True))
         # Adding constraints cannot improve the optimum.
         assert sol_nn.t >= sol_free.t - 1e-9
-
-
-class TestStallDetect:
-    def test_etf_reports_stalled(self):
-        frame = make_simplex_etf(4)
-        prob = subproblem_for(frame, 0)
-        sol = solve_subproblem(prob)
-        stalled, active = stall_detect(prob, sol)
-        assert stalled
-        assert len(active) == prob.k  # every neighbor ties at the optimum
-
-    def test_generic_instance_not_stalled(self):
-        frame = harvested_frames(6, 18, seed=5)
-        prob = subproblem_for(frame, 3)
-        sol = solve_subproblem(prob)
-        stalled, active = stall_detect(prob, sol)
-        assert not stalled
-        assert 1 <= len(active)
 
 
 class TestValidationAndFailure:
