@@ -91,8 +91,6 @@ def _cmd_design(args):
             sweeps=args.K,
             seed=seed,
             eps_stop=args.eps_stop,
-            radius_slack=args.radius_slack,
-            solver_tol=args.solver_tol,
             nonneg=args.nonneg,
         )
         started = time.perf_counter()
@@ -163,8 +161,6 @@ def _sensing_for(source, m, args):
         frame, _ = run(cfg)
         return frame
     if source == "frame-file":
-        if not args.frame_file:
-            raise InvalidInput("source frame-file needs --frame-file PATH")
         frame, _ = read_frame(args.frame_file)
         if frame.m != m or frame.n_vectors != args.N:
             raise InvalidInput(
@@ -178,9 +174,25 @@ def _sensing_for(source, m, args):
 def _cmd_cs_bench(args):
     m_list = _parse_int_list(args.m_list)
     sources = [s.strip() for s in args.sources.split(",") if s.strip()]
+    if not sources:
+        raise InvalidInput(f"empty source list {args.sources!r}")
     for s in sources:
         if s not in _SOURCES:
             raise InvalidInput(f"unknown sensing source {s!r} (choose from {_SOURCES})")
+    if "frame-file" in sources and not args.frame_file:
+        raise InvalidInput("source frame-file needs --frame-file PATH")
+    # Reject bad experiment settings before any design runs or file is written.
+    experiments = {
+        source: CsExperiment(
+            n_signal=args.N,
+            n_atoms=args.M,
+            sparsity=args.sparsity,
+            trials=args.trials,
+            seed=args.seed,
+            sensing_source=source,
+        )
+        for source in sources
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
@@ -189,15 +201,7 @@ def _cmd_cs_bench(args):
             sensing = _sensing_for(source, m, args)
             if source == "designed-fresh":
                 write_frame(out / f"sensing_m{m}_n{args.N}.frame", sensing, seed=args.seed)
-            exp = CsExperiment(
-                n_signal=args.N,
-                n_atoms=args.M,
-                sparsity=args.sparsity,
-                trials=args.trials,
-                seed=args.seed,
-                sensing_source=source,
-            )
-            res = run_cs_experiment(exp, sensing, keep_errors=False)
+            res = run_cs_experiment(experiments[source], sensing, keep_errors=False)
             results.append((m, source, res))
             print(
                 f"m={m:3d} source={source:15s} sensing_mu={res.sensing_coherence:.4f} "
@@ -281,8 +285,6 @@ def _build_parser():
     p.add_argument("--K", type=int, default=200, help="sweep budget")
     p.add_argument("--seeds", type=str, default="0", help="seed list: 7, 1..10, or 1,4,9")
     p.add_argument("--eps-stop", type=float, default=1e-5, help="escape trigger threshold")
-    p.add_argument("--radius-slack", type=float, default=1e-4, help="trust radius backoff")
-    p.add_argument("--solver-tol", type=float, default=1e-8, help="subproblem duality gap")
     p.add_argument("--nonneg", action="store_true", help="entrywise nonnegative vectors")
     p.add_argument("--out", type=str, default=".", help="output directory")
     p.add_argument("--config", type=str, help="key = value defaults file")

@@ -33,18 +33,19 @@ from .minimax import TrustSubproblem, solve_subproblem
 _DUP_TOL = 1e-12
 # Relative tolerance for counting ties at the maximum correlation.
 _TIE_REL = 1e-9
+_RADIUS_SLACK = 1e-4  # squared trust radius T_i = (1 - _RADIUS_SLACK) * (1 - g_max^2)
+_SOLVER_TOL = 1e-8  # duality gap and infeasibility target of every subproblem solve
 
 
 @dataclass(frozen=True)
 class DesignConfig:
     """Knobs of one design run.
 
-    ``radius_slack`` backs the squared trust radius off its open upper bound:
-    T_i = (1 - radius_slack) * (1 - g_max^2). ``eps_stop`` is the mean
-    three-sweep coherence decrease below which the escape step fires.
-    Nonnegative mode optimizes entrywise-nonnegative vectors; it disables
-    sign flips and escape steps and optimizes every vector including the
-    first one.
+    ``eps_stop`` is the mean three-sweep coherence decrease below which the
+    escape step fires. Nonnegative mode optimizes entrywise-nonnegative
+    vectors; it disables sign flips and escape steps and optimizes every
+    vector including the first one. The trust radius backoff (1e-4) and the
+    subproblem solver tolerance (1e-8) are fixed.
     """
 
     m: int
@@ -52,8 +53,6 @@ class DesignConfig:
     sweeps: int = 200
     seed: int = 0
     eps_stop: float = 1e-5
-    radius_slack: float = 1e-4
-    solver_tol: float = 1e-8
     nonneg: bool = False
 
     def __post_init__(self):
@@ -63,10 +62,6 @@ class DesignConfig:
             raise InvalidInput(f"sweeps must be >= 0, got {self.sweeps}")
         if not (0.0 < self.eps_stop < 1.0):
             raise InvalidInput(f"eps_stop must be in (0, 1), got {self.eps_stop}")
-        if not (0.0 < self.radius_slack <= 0.1):
-            raise InvalidInput(f"radius_slack must be in (0, 0.1], got {self.radius_slack}")
-        if not (0.0 < self.solver_tol <= 1e-4):
-            raise InvalidInput(f"solver_tol must be in (0, 1e-4], got {self.solver_tol}")
 
 
 @dataclass
@@ -137,7 +132,7 @@ def initialize(cfg):
     return Frame(work)
 
 
-def choose_radius(frame, i, slack=1e-4):
+def choose_radius(frame, i, slack=_RADIUS_SLACK):
     """Squared trust radius for vector i: (1 - slack) * (1 - max_j g_ij^2)."""
     if not (0.0 < slack <= 0.1):
         raise InvalidInput(f"slack must be in (0, 0.1], got {slack}")
@@ -174,7 +169,7 @@ def _sweep_inplace(work, cfg, rng):
         if ties >= m:
             stats.tie_skips += 1
             continue
-        radius_sq = (1.0 - cfg.radius_slack) * (1.0 - gmax * gmax)
+        radius_sq = (1.0 - _RADIUS_SLACK) * (1.0 - gmax * gmax)
         problem = TrustSubproblem(
             reference=col.copy(),
             neighbors=np.delete(work, i, axis=1),
@@ -182,7 +177,7 @@ def _sweep_inplace(work, cfg, rng):
             nonneg=cfg.nonneg,
         )
         try:
-            sol = solve_subproblem(problem, tol=cfg.solver_tol)
+            sol = solve_subproblem(problem, tol=_SOLVER_TOL)
         except SolverStall:
             stats.solver_stalls += 1
             continue

@@ -19,14 +19,13 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .errors import FrameFormatError, InvalidInput
-from .frames import Frame, correlations, mutual_coherence, welch_bound
+from .design import _RADIUS_SLACK, _SOLVER_TOL
+from .frames import _UNIT_TOL, Frame, correlations, mutual_coherence, welch_bound
 
 _FORMAT_NAME = "incoframes-frame"
 _FORMAT_VERSION = 1
 _LOAD_UNIT_TOL = 1e-8
 _LOAD_MU_TOL = 1e-8
-# Frame's own constructor tolerance; see frames.py.
-_STRICT_UNIT_TOL = 1e-10
 
 
 def environment_fingerprint():
@@ -89,6 +88,8 @@ def read_frame(path):
         recorded_mu = float(header["coherence"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameFormatError(f"{path}: incomplete header: {exc}") from exc
+    if not np.isfinite(recorded_mu):
+        raise FrameFormatError(f"{path}: recorded coherence {recorded_mu!r} is not finite")
 
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != m:
@@ -105,7 +106,7 @@ def read_frame(path):
     worst = float(np.abs(norms - 1.0).max())
     if worst > _LOAD_UNIT_TOL:
         raise FrameFormatError(f"{path}: columns not unit norm (deviation {worst:.3e})")
-    if worst > _STRICT_UNIT_TOL:
+    if worst > _UNIT_TOL:
         mat = mat / norms  # tolerate hand-made files, our own are exact
     try:
         frame = Frame(mat)
@@ -130,8 +131,8 @@ def write_manifest(path, cfg, report, wall_seconds):
             "sweeps": cfg.sweeps,
             "seed": cfg.seed,
             "eps_stop": cfg.eps_stop,
-            "radius_slack": cfg.radius_slack,
-            "solver_tol": cfg.solver_tol,
+            "radius_slack": _RADIUS_SLACK,
+            "solver_tol": _SOLVER_TOL,
             "nonneg": cfg.nonneg,
             "escape_enabled": not cfg.nonneg,
         },

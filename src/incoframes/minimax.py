@@ -30,8 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInput, SolverStall
-
-_UNIT_TOL = 1e-10
+from .frames import _UNIT_TOL
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,20 @@ class SubproblemSolution:
     residuals: KktResiduals | None = None
 
 
-def _raw_residuals(h, nb, radius_sq, nonneg, f, t, lam, lam_ball, bound_lam):
-    nu = bound_lam if (nonneg and bound_lam is not None) else np.zeros_like(f)
+def kkt_residuals(problem, solution):
+    """Recompute the optimality residuals of ``solution`` for ``problem``."""
+    h, nb, nonneg = problem.reference, problem.neighbors, problem.nonneg
+    f = np.asarray(solution.f, dtype=float)
+    t = float(solution.t)
+    lam = np.asarray(solution.lam, dtype=float)
+    lam_ball = float(solution.lam_ball)
+    nu = solution.bound_lam
+    nu = np.asarray(nu, dtype=float) if (nonneg and nu is not None) else np.zeros_like(f)
     stat_f = nb @ lam - nu + 2.0 * lam_ball * (f - h)
     stat = max(float(np.abs(stat_f).max()), abs(1.0 - float(lam.sum())))
 
     g_lin = nb.T @ f - t
-    g_ball = float(f @ f - 2.0 * (f @ h) + 1.0 - radius_sq)
+    g_ball = float(f @ f - 2.0 * (f @ h) + 1.0 - problem.radius_sq)
     comp = float(np.abs(lam * g_lin).max())
     comp = max(comp, abs(lam_ball * g_ball))
     primal = max(0.0, float(g_lin.max()), g_ball)
@@ -137,21 +143,6 @@ def _raw_residuals(h, nb, radius_sq, nonneg, f, t, lam, lam_ball, bound_lam):
         comp = max(comp, float(np.abs(nu * f).max()))
         primal = max(primal, float((-f).max()))
     return KktResiduals(stationarity=stat, complementarity=comp, primal=primal)
-
-
-def kkt_residuals(problem, solution):
-    """Recompute the optimality residuals of ``solution`` for ``problem``."""
-    return _raw_residuals(
-        problem.reference,
-        problem.neighbors,
-        problem.radius_sq,
-        problem.nonneg,
-        np.asarray(solution.f, dtype=float),
-        float(solution.t),
-        np.asarray(solution.lam, dtype=float),
-        float(solution.lam_ball),
-        None if solution.bound_lam is None else np.asarray(solution.bound_lam, dtype=float),
-    )
 
 
 def _max_step(v, dv):
@@ -231,6 +222,10 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         z[k : k + m] = 0.5
     z[-1] = 0.5 / math.sqrt(big_t)
 
+    # Trial points form the dual residual from jac_fixed plus the ball gradient,
+    # which differs from the loop top's jac.T @ z by rounding. The tail of the
+    # damped line search tests phi_t against (1 - 1e-4*beta)*phi0 at rounding
+    # level, so one shared formula would change which steps are accepted.
     def residual_norms(x, s, z):
         f = x[:m]
         g = constraints(x)
@@ -243,10 +238,8 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
     best = None
     best_merit = np.inf
     certified = None
-    iters_done = 0
 
     for it in range(max_iter):
-        iters_done = it
         f = x[:m]
         jac[-1, :m] = 2.0 * (f - h)
         g = constraints(x)
@@ -256,7 +249,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         merit = max(gap, float(np.abs(r_p).max()), float(np.abs(r_d).max()))
         if merit < best_merit:
             best_merit = merit
-            best = (x.copy(), s.copy(), z.copy(), gap, it)
+            best = (x.copy(), z.copy(), gap)
         if gap <= tol and np.abs(r_p).max() <= tol:
             # Objective certified by the gap; accept once the full optimality
             # residuals sit safely inside the 10*tol contract. Ill-conditioned
@@ -284,13 +277,15 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         if factor is None:
             break
 
+        def newton(rp, rc):
+            """Direction (dx, ds, dz) for primal residual rp and complementarity target rc."""
+            dx = scipy.linalg.cho_solve(factor, -(r_d + jac.T @ (d * rp - rc / s)))
+            dz = d * (jac @ dx + rp) - rc / s
+            return dx, -(rc + s * dz) / z, dz
+
         mu = gap / p
         # Predictor: pure Newton step toward complementarity zero.
-        rc = s * z
-        rhs = -(r_d + jac.T @ (d * r_p - rc / s))
-        dx_a = scipy.linalg.cho_solve(factor, rhs)
-        dz_a = d * (jac @ dx_a + r_p) - rc / s
-        ds_a = -(rc + s * dz_a) / z
+        dx_a, ds_a, dz_a = newton(r_p, s * z)
         a_p = min(1.0, _max_step(s, ds_a))
         a_d = min(1.0, _max_step(z, dz_a))
         mu_aff = float((s + a_p * ds_a) @ (z + a_d * dz_a)) / p
@@ -299,13 +294,9 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         # Corrector: complementarity second-order term plus recentring, and
         # the exact quadratic term of the ball row (its linearization error
         # is exactly ||df||^2), reusing the same factorization.
-        rc = s * z + ds_a * dz_a - sigma * mu
         rp2 = r_p.copy()
         rp2[-1] += float(dx_a[:m] @ dx_a[:m])
-        rhs = -(r_d + jac.T @ (d * rp2 - rc / s))
-        dx = scipy.linalg.cho_solve(factor, rhs)
-        dz = d * (jac @ dx + rp2) - rc / s
-        ds = -(rc + s * dz) / z
+        dx, ds, dz = newton(rp2, s * z + ds_a * dz_a - sigma * mu)
 
         eta = min(0.99999, max(0.995, 1.0 - 10.0 * mu))
         a_p = min(1.0, eta * _max_step(s, ds))
@@ -317,7 +308,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         # little; that is normal. A blow-up means the step left the region
         # where the ball linearization is any good, so fall back to a damped
         # pure Newton step, which is a certified descent direction for the
-        # residual.
+        # residual: the predictor direction, whose inputs are unchanged.
         phi0 = float(np.linalg.norm(r_p)) + float(np.linalg.norm(r_d)) + gap
         xt = x + a_p * dx
         st = s + a_p * ds
@@ -325,11 +316,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         rp_t, rd_t, gap_t = residual_norms(xt, st, zt)
         phi_t = float(np.linalg.norm(rp_t)) + float(np.linalg.norm(rd_t)) + gap_t
         if not np.isfinite(phi_t) or phi_t > 10.0 * phi0 + tol:
-            rc = s * z
-            rhs = -(r_d + jac.T @ (d * r_p - rc / s))
-            dx = scipy.linalg.cho_solve(factor, rhs)
-            dz = d * (jac @ dx + r_p) - rc / s
-            ds = -(rc + s * dz) / z
+            dx, ds, dz = dx_a, ds_a, dz_a
             a_p = min(1.0, eta * _max_step(s, ds))
             a_d = min(1.0, eta * _max_step(z, dz))
             beta = 1.0
@@ -348,17 +335,17 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         s = st
         z = zt
 
-    bx, bs, bz, bgap, bit = best
-    polished = _polish(problem, bx, bz, tol, iters_done + 1)
+    bx, bz, bgap = best
+    polished = _polish(problem, bx, bz, tol, it + 1)
     if polished is not None:
         return polished
     if certified is not None:
         # The objective was certified but the boundary never tightened
         # within the cap; the certificate still stands.
         return certified
-    partial = _package(problem, bx, bz, bgap, iters_done + 1, False)
+    partial = _package(problem, bx, bz, bgap, it + 1, False)
     raise SolverStall(
-        f"no certificate after {iters_done + 1} iterations (gap {bgap:.3e}, tol {tol:.1e})",
+        f"no certificate after {it + 1} iterations (gap {bgap:.3e}, tol {tol:.1e})",
         solution=partial,
         gap=bgap,
     )
@@ -402,6 +389,7 @@ def _polish(problem, x, z, tol, iterations):
         lam = lam_full[a_idx].copy()
         nu = nu_full[b_idx].copy()
         dim = m + 1 + a + b + 1
+        b_rows = m + 1 + a + np.arange(b)  # rows and columns of the bound multipliers
 
         res_inf = np.inf
         for _ in range(25):
@@ -419,14 +407,12 @@ def _polish(problem, x, z, tol, iterations):
             jmat = np.zeros((dim, dim))
             jmat[:m, :m] = (2.0 * w) * np.eye(m)
             jmat[:m, m + 1 : m + 1 + a] = na
-            for col, i in enumerate(b_idx):
-                jmat[i, m + 1 + a + col] = -1.0
+            jmat[b_idx, b_rows] = -1.0
             jmat[:m, -1] = 2.0 * (f - h)
             jmat[m, m + 1 : m + 1 + a] = -1.0
             jmat[m + 1 : m + 1 + a, :m] = na.T
             jmat[m + 1 : m + 1 + a, m] = -1.0
-            for row, i in enumerate(b_idx):
-                jmat[m + 1 + a + row, i] = 1.0
+            jmat[b_rows, b_idx] = 1.0
             jmat[-1, :m] = 2.0 * (f - h)
             try:
                 du = np.linalg.lstsq(jmat, -res, rcond=None)[0]
@@ -446,8 +432,7 @@ def _polish(problem, x, z, tol, iterations):
         lam_full[:] = 0.0
         lam_full[a_idx] = lam
         nu_full[:] = 0.0
-        if nonneg:
-            nu_full[b_idx] = nu
+        nu_full[b_idx] = nu  # b_idx is empty in signed mode
         if lam.size and float(lam.min()) < -1e-9:
             act[a_idx[int(np.argmin(lam))]] = False
             lam_full = np.maximum(lam_full, 0.0)

@@ -196,10 +196,24 @@ class TestCsBench:
         )
         assert code == 2
 
-    def test_empty_m_list(self, tmp_path):
-        code = run_cli("cs-bench", "--m-list", ",", "--trials", "2", "--out", str(tmp_path))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--m-list", ","],
+            ["--sources", ","],
+            ["--trials", "0"],
+            ["--sparsity", "99"],
+            ["--sources", "designed-fresh,frame-file"],
+        ],
+        ids=["empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file"],
+    )
+    def test_bad_input_rejected_before_any_work(self, tmp_path, bad):
+        code = run_cli(
+            "cs-bench", "--N", "12", "--M", "16", "--m-list", "6", "--trials", "2",
+            "--design-sweeps", "2", *bad, "--out", str(tmp_path),
+        )
         assert code == 2
-        assert not (tmp_path / "cs_bench.csv").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_source(self, tmp_path):
         code = run_cli(
@@ -284,9 +298,11 @@ class TestConfigFile:
         assert code == 0
         assert (tmp_path / "frame_m4_n8_seed0_nonneg.frame").exists()
 
-    def test_unknown_key(self, tmp_path):
+    # radius_slack and solver_tol are fixed design constants, not config keys.
+    @pytest.mark.parametrize("line", ["what = 1", "radius_slack = 1e-4", "solver-tol = 1e-8"])
+    def test_unknown_key(self, tmp_path, line):
         cfg = tmp_path / "design.cfg"
-        cfg.write_text("m = 4\nN = 8\nwhat = 1\n")
+        cfg.write_text(f"m = 4\nN = 8\n{line}\n")
         assert run_cli("design", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
     def test_bad_value(self, tmp_path):

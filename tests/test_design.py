@@ -37,10 +37,6 @@ class TestConfigValidation:
             DesignConfig(m=4, n_vectors=8, sweeps=-1)
         with pytest.raises(InvalidInput):
             DesignConfig(m=4, n_vectors=8, eps_stop=0.0)
-        with pytest.raises(InvalidInput):
-            DesignConfig(m=4, n_vectors=8, radius_slack=0.2)
-        with pytest.raises(InvalidInput):
-            DesignConfig(m=4, n_vectors=8, solver_tol=1e-3)
 
 class TestInitialization:
     def test_raw_gaussian_coherence_level(self):

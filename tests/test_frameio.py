@@ -103,12 +103,15 @@ class TestFrameFile:
         with pytest.raises(FrameFormatError):
             read_frame(path)
 
-    def test_coherence_mismatch_rejected(self, tmp_path, frame_7x15):
+    @pytest.mark.parametrize(
+        "tamper", [lambda mu: mu + 1e-3, lambda mu: float("nan")], ids=["shifted", "nan"]
+    )
+    def test_coherence_mismatch_rejected(self, tmp_path, frame_7x15, tamper):
         path = tmp_path / "f.frame"
         write_frame(path, frame_7x15)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        header["coherence"] = header["coherence"] + 1e-3
+        header["coherence"] = tamper(header["coherence"])
         path.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n")
         with pytest.raises(FrameFormatError, match="coherence"):
             read_frame(path)
@@ -127,6 +130,10 @@ class TestManifest:
         doc = json.loads(path.read_text())
         assert doc["config"]["m"] == 6
         assert doc["config"]["seed"] == 3
+        # The fixed design constants are recorded too, so manifest readers keep their keys.
+        assert doc["config"]["radius_slack"] == 1e-4
+        assert doc["config"]["solver_tol"] == 1e-8
+        assert doc["config"]["escape_enabled"] is True
         assert doc["raw_coherence"] == report.raw_coherence
         assert doc["initial_coherence"] == report.initial_coherence
         assert doc["trace"] == report.trace
