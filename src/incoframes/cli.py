@@ -79,13 +79,9 @@ def _require(args, names):
 
 def _cmd_design(args):
     _require(args, ["m", "N"])
-    seeds = _parse_seeds(args.seeds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    initial_mus, final_mus, final_avgs = [], [], []
-    tag = "_nonneg" if args.nonneg else ""
-    for seed in seeds:
-        cfg = DesignConfig(
+    # Reject every bad setting before the output directory is created.
+    configs = [
+        DesignConfig(
             m=args.m,
             n_vectors=args.N,
             sweeps=args.K,
@@ -93,6 +89,13 @@ def _cmd_design(args):
             eps_stop=args.eps_stop,
             nonneg=args.nonneg,
         )
+        for seed in _parse_seeds(args.seeds)
+    ]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    initial_mus, final_mus, final_avgs = [], [], []
+    tag = "_nonneg" if args.nonneg else ""
+    for cfg in configs:
         started = time.perf_counter()
         frame, report = run(cfg)
         wall = time.perf_counter() - started
@@ -100,11 +103,11 @@ def _cmd_design(args):
         initial_mus.append(report.raw_coherence)
         final_mus.append(fm.mu)
         final_avgs.append(fm.mu_avg)
-        stem = f"m{args.m}_n{args.N}_seed{seed}{tag}"
-        write_frame(out / f"frame_{stem}.frame", frame, seed=seed, nonneg=args.nonneg)
+        stem = f"m{args.m}_n{args.N}_seed{cfg.seed}{tag}"
+        write_frame(out / f"frame_{stem}.frame", frame, seed=cfg.seed, nonneg=args.nonneg)
         write_manifest(out / f"manifest_{stem}.json", cfg, report, wall)
         print(
-            f"seed {seed}: mu {report.raw_coherence:.4f} -> {fm.mu:.4f} "
+            f"seed {cfg.seed}: mu {report.raw_coherence:.4f} -> {fm.mu:.4f} "
             f"(best at sweep {report.best_sweep}, {len(report.escape_sweeps)} escapes, "
             f"{wall:.1f}s)"
         )
@@ -182,17 +185,13 @@ def _cmd_cs_bench(args):
     if "frame-file" in sources and not args.frame_file:
         raise InvalidInput("source frame-file needs --frame-file PATH")
     # Reject bad experiment settings before any design runs or file is written.
-    experiments = {
-        source: CsExperiment(
-            n_signal=args.N,
-            n_atoms=args.M,
-            sparsity=args.sparsity,
-            trials=args.trials,
-            seed=args.seed,
-            sensing_source=source,
-        )
-        for source in sources
-    }
+    experiment = CsExperiment(
+        n_signal=args.N,
+        n_atoms=args.M,
+        sparsity=args.sparsity,
+        trials=args.trials,
+        seed=args.seed,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []
@@ -201,7 +200,7 @@ def _cmd_cs_bench(args):
             sensing = _sensing_for(source, m, args)
             if source == "designed-fresh":
                 write_frame(out / f"sensing_m{m}_n{args.N}.frame", sensing, seed=args.seed)
-            res = run_cs_experiment(experiments[source], sensing, keep_errors=False)
+            res = run_cs_experiment(experiment, sensing, keep_errors=False)
             results.append((m, source, res))
             print(
                 f"m={m:3d} source={source:15s} sensing_mu={res.sensing_coherence:.4f} "

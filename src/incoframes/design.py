@@ -60,6 +60,8 @@ class DesignConfig:
             raise InvalidInput(f"need 2 <= m <= N, got m={self.m}, N={self.n_vectors}")
         if self.sweeps < 0:
             raise InvalidInput(f"sweeps must be >= 0, got {self.sweeps}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.eps_stop < 1.0):
             raise InvalidInput(f"eps_stop must be in (0, 1), got {self.eps_stop}")
 

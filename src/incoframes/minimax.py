@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InvalidInput, SolverStall
+from .errors import InvalidInput, NumericsFailure, SolverStall
 from .frames import _UNIT_TOL
 
 
@@ -175,6 +175,8 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
     SolverStall
         If the iteration cap is hit first; the exception carries the best
         iterate and its gap.
+    NumericsFailure
+        If LAPACK rejects an argument, which no input data can cause.
     """
     if not (0.0 < tol <= 1e-4):
         raise InvalidInput(f"tol must be in (0, 1e-4], got {tol}")
@@ -222,16 +224,20 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         z[k : k + m] = 0.5
     z[-1] = 0.5 / math.sqrt(big_t)
 
+    def phi(r_p, r_d, gap):
+        """Line-search merit: 2-norms of both residuals plus the gap."""
+        return math.sqrt(r_p @ r_p) + math.sqrt(r_d @ r_d) + gap
+
     # Trial points form the dual residual from jac_fixed plus the ball gradient,
     # which differs from the loop top's jac.T @ z by rounding. The tail of the
     # damped line search tests phi_t against (1 - 1e-4*beta)*phi0 at rounding
     # level, so one shared formula would change which steps are accepted.
-    def residual_norms(x, s, z):
-        f = x[:m]
+    def trial(x, s, z):
+        """Constraint values and merit at a trial point."""
         g = constraints(x)
-        r_p = g + s
-        r_d = c + jac_fixed.T @ z + z[-1] * np.concatenate([2.0 * (f - h), [0.0]])
-        return r_p, r_d, float(s @ z)
+        r_d = c + jac_fixed.T @ z
+        r_d[:m] += z[-1] * (2.0 * (x[:m] - h))
+        return g, phi(g + s, r_d, float(s @ z))
 
     jac_fixed = jac.copy()  # rows without the state-dependent ball gradient
 
@@ -239,18 +245,19 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
     best_merit = np.inf
     certified = None
 
+    # g holds constraints(x) throughout: each accepted trial point hands its
+    # values on, so the loop top needs no evaluation of its own.
     for it in range(max_iter):
-        f = x[:m]
-        jac[-1, :m] = 2.0 * (f - h)
-        g = constraints(x)
+        jac[-1, :m] = 2.0 * (x[:m] - h)
         r_p = g + s
         r_d = c + jac.T @ z
         gap = float(s @ z)
-        merit = max(gap, float(np.abs(r_p).max()), float(np.abs(r_d).max()))
+        rp_max = float(np.abs(r_p).max())
+        merit = max(gap, rp_max, float(np.abs(r_d).max()))
         if merit < best_merit:
             best_merit = merit
             best = (x.copy(), z.copy(), gap)
-        if gap <= tol and np.abs(r_p).max() <= tol:
+        if gap <= tol and rp_max <= tol:
             # Objective certified by the gap; accept once the full optimality
             # residuals sit safely inside the 10*tol contract. Ill-conditioned
             # instances can pin the dual residual slightly above tol while the
@@ -266,21 +273,33 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
 
         d = z / s
         m_mat = (jac * d[:, None]).T @ jac
-        m_mat[:m, :m] += (2.0 * z[-1]) * np.eye(m)
+        if not np.isfinite(m_mat).all():
+            break
+        # The ball Hessian and each jitter go onto the diagonal in place
+        # (a strided view of the C-ordered matmul result); every jitter is
+        # added to the same base diagonal. dpotrf reads the lower triangle.
+        diag = m_mat.reshape(-1)[:: n + 1]
+        diag[:m] += 2.0 * z[-1]
+        base = diag.copy()
         factor = None
         for jitter in (1e-12, 1e-9, 1e-6):
-            try:
-                factor = scipy.linalg.cho_factor(m_mat + jitter * np.eye(n), lower=True)
+            np.add(base, jitter, out=diag)
+            chol, info = dpotrf(m_mat, lower=1, clean=0)
+            if info < 0:
+                raise NumericsFailure(f"dpotrf: illegal value in argument {-info}")
+            if info == 0:
+                factor = chol
                 break
-            except scipy.linalg.LinAlgError:
-                continue
         if factor is None:
             break
 
         def newton(rp, rc):
             """Direction (dx, ds, dz) for primal residual rp and complementarity target rc."""
-            dx = scipy.linalg.cho_solve(factor, -(r_d + jac.T @ (d * rp - rc / s)))
-            dz = d * (jac @ dx + rp) - rc / s
+            rc_s = rc / s
+            dx, info = dpotrs(factor, -(r_d + jac.T @ (d * rp - rc_s)), lower=1, overwrite_b=1)
+            if info < 0:
+                raise NumericsFailure(f"dpotrs: illegal value in argument {-info}")
+            dz = d * (jac @ dx + rp) - rc_s
             return dx, -(rc + s * dz) / z, dz
 
         mu = gap / p
@@ -309,13 +328,12 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         # where the ball linearization is any good, so fall back to a damped
         # pure Newton step, which is a certified descent direction for the
         # residual: the predictor direction, whose inputs are unchanged.
-        phi0 = float(np.linalg.norm(r_p)) + float(np.linalg.norm(r_d)) + gap
+        phi0 = phi(r_p, r_d, gap)
         xt = x + a_p * dx
         st = s + a_p * ds
         zt = z + a_d * dz
-        rp_t, rd_t, gap_t = residual_norms(xt, st, zt)
-        phi_t = float(np.linalg.norm(rp_t)) + float(np.linalg.norm(rd_t)) + gap_t
-        if not np.isfinite(phi_t) or phi_t > 10.0 * phi0 + tol:
+        g_t, phi_t = trial(xt, st, zt)
+        if not math.isfinite(phi_t) or phi_t > 10.0 * phi0 + tol:
             dx, ds, dz = dx_a, ds_a, dz_a
             a_p = min(1.0, eta * _max_step(s, ds))
             a_d = min(1.0, eta * _max_step(z, dz))
@@ -324,9 +342,8 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
                 xt = x + beta * a_p * dx
                 st = s + beta * a_p * ds
                 zt = z + beta * a_d * dz
-                rp_t, rd_t, gap_t = residual_norms(xt, st, zt)
-                phi_t = float(np.linalg.norm(rp_t)) + float(np.linalg.norm(rd_t)) + gap_t
-                if np.isfinite(phi_t) and phi_t <= (1.0 - 1e-4 * beta) * phi0:
+                g_t, phi_t = trial(xt, st, zt)
+                if math.isfinite(phi_t) and phi_t <= (1.0 - 1e-4 * beta) * phi0:
                     break
                 beta *= 0.5
             else:
@@ -334,6 +351,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         x = xt
         s = st
         z = zt
+        g = g_t
 
     bx, bz, bgap = best
     polished = _polish(problem, bx, bz, tol, it + 1)

@@ -81,7 +81,6 @@ class CsExperiment:
     sparsity: int
     trials: int
     seed: int = 0
-    sensing_source: str = "random-gaussian"
 
     def __post_init__(self):
         if self.n_signal < 2 or self.n_atoms < self.n_signal:
@@ -92,6 +91,8 @@ class CsExperiment:
             raise InvalidInput(f"sparsity out of range: {self.sparsity}")
         if self.trials < 1:
             raise InvalidInput(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -290,6 +291,8 @@ def make_planted_dataset(frame, s, n_samples, noise, seed):
         raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
     if not (0 <= s <= frame.m):
         raise InvalidInput(f"sparsity out of range: {s}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     m, n = frame.m, frame.n_vectors
     raw = rng.standard_normal((m, m))

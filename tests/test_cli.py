@@ -88,11 +88,11 @@ class TestDesign:
         assert "--m" in capsys.readouterr().err
 
     def test_bad_seed_list(self, tmp_path, capsys):
-        for seeds in ("x,y", "9..3", ","):
-            code = run_cli(
-                "design", "--m", "4", "--N", "8", "--seeds", seeds, "--out", str(tmp_path)
-            )
+        out = tmp_path / "out"
+        for seeds in ("x,y", "9..3", ",", "-1", "-2..-1"):
+            code = run_cli("design", "--m", "4", "--N", "8", f"--seeds={seeds}", "--out", str(out))
             assert code == 2, seeds
+            assert not out.exists(), seeds
 
     def test_invalid_dimensions(self, tmp_path):
         code = run_cli("design", "--m", "9", "--N", "4", "--out", str(tmp_path))
@@ -204,8 +204,9 @@ class TestCsBench:
             ["--trials", "0"],
             ["--sparsity", "99"],
             ["--sources", "designed-fresh,frame-file"],
+            ["--seed", "-1"],
         ],
-        ids=["empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file"],
+        ids=["empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file", "negative-seed"],
     )
     def test_bad_input_rejected_before_any_work(self, tmp_path, bad):
         code = run_cli(

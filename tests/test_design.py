@@ -37,6 +37,8 @@ class TestConfigValidation:
             DesignConfig(m=4, n_vectors=8, sweeps=-1)
         with pytest.raises(InvalidInput):
             DesignConfig(m=4, n_vectors=8, eps_stop=0.0)
+        with pytest.raises(InvalidInput):
+            DesignConfig(m=4, n_vectors=8, seed=-1)
 
 class TestInitialization:
     def test_raw_gaussian_coherence_level(self):

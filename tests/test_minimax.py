@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import incoframes.minimax
 from incoframes import (
     DesignConfig,
     Frame,
     InvalidInput,
+    NumericsFailure,
     SolverStall,
     TrustSubproblem,
     canonicalize_signs,
@@ -226,3 +228,66 @@ class TestValidationAndFailure:
         assert info.value.solution is not None
         assert info.value.gap is not None
         assert info.value.gap > 0.0
+
+
+class TestFactorization:
+    """The Cholesky kernel: failure paths real workloads never reach, and its call count."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return harvested_frames(15, 30, seed=1)
+
+    @pytest.fixture(scope="class")
+    def problem(self, frame):
+        return subproblem_for(frame, 5)
+
+    def test_first_jitter_failure_still_certifies(self, problem, monkeypatch):
+        real, calls = incoframes.minimax.dpotrf, []
+
+        def fail_once(a, **kw):
+            calls.append(1)
+            return (a, 1) if len(calls) == 1 else real(a, **kw)
+
+        monkeypatch.setattr(incoframes.minimax, "dpotrf", fail_once)
+        tol = 1e-8
+        sol = solve_subproblem(problem, tol=tol)
+        assert sol.converged
+        assert sol.residuals.worst() <= 10.0 * tol
+
+    @pytest.mark.parametrize(
+        "factor",
+        [lambda a: (a, 1), lambda a: (np.full_like(a, np.nan), 0)],
+        ids=["every-jitter-fails", "nan-factor"],
+    )
+    def test_failed_factor_stalls_with_partial_solution(self, problem, monkeypatch, factor):
+        monkeypatch.setattr(incoframes.minimax, "dpotrf", lambda a, **kw: factor(a))
+        with pytest.raises(SolverStall) as info:
+            solve_subproblem(problem)
+        assert info.value.solution is not None
+        assert not info.value.solution.converged
+
+    def test_illegal_lapack_argument_raises(self, problem, monkeypatch):
+        monkeypatch.setattr(incoframes.minimax, "dpotrf", lambda a, **kw: (a, -1))
+        with pytest.raises(NumericsFailure):
+            solve_subproblem(problem)
+
+    def test_at_most_one_factorization_and_two_solves_per_iteration(self, frame, monkeypatch):
+        real_trf, real_trs = incoframes.minimax.dpotrf, incoframes.minimax.dpotrs
+        counts = {"factored": 0, "solved": 0}
+
+        def dpotrf(a, **kw):
+            c, info = real_trf(a, **kw)
+            counts["factored"] += info == 0
+            return c, info
+
+        def dpotrs(c, b, **kw):
+            counts["solved"] += 1
+            return real_trs(c, b, **kw)
+
+        monkeypatch.setattr(incoframes.minimax, "dpotrf", dpotrf)
+        monkeypatch.setattr(incoframes.minimax, "dpotrs", dpotrs)
+        for i in range(1, frame.n_vectors):
+            counts.update(factored=0, solved=0)
+            sol = solve_subproblem(subproblem_for(frame, i))
+            assert 0 < counts["factored"] <= sol.iterations
+            assert counts["solved"] <= 2 * sol.iterations

@@ -115,6 +115,8 @@ class TestCsExperiment:
             CsExperiment(n_signal=10, n_atoms=20, sparsity=11, trials=10)
         with pytest.raises(InvalidInput):
             CsExperiment(n_signal=10, n_atoms=20, sparsity=2, trials=0)
+        with pytest.raises(InvalidInput):
+            CsExperiment(n_signal=10, n_atoms=20, sparsity=2, trials=10, seed=-1)
 
     def test_deterministic_for_fixed_seed(self):
         exp = CsExperiment(n_signal=20, n_atoms=30, sparsity=2, trials=40, seed=11)
@@ -217,3 +219,5 @@ class TestPlantedDataset:
             make_planted_dataset(designed_8x16, s=2, n_samples=0, noise=0.0, seed=1)
         with pytest.raises(InvalidInput):
             make_planted_dataset(designed_8x16, s=99, n_samples=5, noise=0.0, seed=1)
+        with pytest.raises(InvalidInput):
+            make_planted_dataset(designed_8x16, s=2, n_samples=5, noise=0.0, seed=-1)
