@@ -68,6 +68,10 @@ def _parse_int_list(text):
         raise InvalidInput(f"bad integer list {text!r}: {exc}") from exc
     if not values:
         raise InvalidInput(f"empty list {text!r}")
+    if len(set(values)) != len(values):
+        # A repeated seed or size would rerun it, overwrite its files and
+        # count it twice in the summary.
+        raise InvalidInput(f"repeated value in list {text!r}")
     return values
 
 

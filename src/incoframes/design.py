@@ -92,6 +92,11 @@ class SweepReport:
     an escape step was applied, and ``escape_coherence`` the coherence right
     after that step. The trace is non-increasing between consecutive escape
     steps.
+
+    Each sweep's visited vectors are counted once in ``updated``,
+    ``tie_skips`` (the tie gate held), ``solver_stalls`` (no usable step)
+    or ``degenerate`` (a duplicated vector). ``stalled`` is ``tie_skips +
+    solver_stalls``.
     """
 
     raw_coherence: float
@@ -100,6 +105,9 @@ class SweepReport:
     escape_sweeps: list = field(default_factory=list)
     escape_coherence: list = field(default_factory=list)
     sweep_seconds: list = field(default_factory=list)
+    updated: list = field(default_factory=list)
+    tie_skips: list = field(default_factory=list)
+    solver_stalls: list = field(default_factory=list)
     stalled: list = field(default_factory=list)
     degenerate: list = field(default_factory=list)
     best_sweep: int = 0
@@ -246,6 +254,9 @@ def run(cfg, initial=None):
         mu_new = float(correlations(work)[1].max())
         report.sweep_seconds.append(time.perf_counter() - started)
         report.trace.append(mu_new)
+        report.updated.append(stats.updated)
+        report.tie_skips.append(stats.tie_skips)
+        report.solver_stalls.append(stats.solver_stalls)
         report.stalled.append(stats.stalled)
         report.degenerate.append(stats.degenerate)
         decreases.append(mu - mu_new)

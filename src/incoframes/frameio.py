@@ -141,7 +141,11 @@ def write_manifest(path, cfg, report, wall_seconds):
         "trace": list(report.trace),
         "escape_sweeps": list(report.escape_sweeps),
         "escape_coherence": list(report.escape_coherence),
+        "updated": list(report.updated),
+        "tie_skips": list(report.tie_skips),
+        "solver_stalls": list(report.solver_stalls),
         "stalled": list(report.stalled),
+        "degenerate": list(report.degenerate),
         "best_sweep": report.best_sweep,
         "wall_seconds": wall_seconds,
         "final_metrics": None

@@ -145,12 +145,18 @@ def kkt_residuals(problem, solution):
     return KktResiduals(stationarity=stat, complementarity=comp, primal=primal)
 
 
-def _max_step(v, dv):
-    """Largest alpha with v + alpha*dv >= 0, assuming v > 0."""
-    neg = dv < 0.0
-    if not neg.any():
-        return np.inf
-    return float((-v[neg] / dv[neg]).min())
+def _step_lengths(w, dw, p, out):
+    """Largest step along ``dw`` keeping each half of ``w = (s, z) > 0`` non-negative.
+
+    Returns ``(alpha_s, alpha_z)``, each ``inf`` when its half of ``dw`` has
+    no negative entry. ``out`` is a work array of ``w``'s length.
+    """
+    # min over dw < 0 of -w/dw is -(max of w/dw): negation is exact, so this
+    # is bit for bit the textbook ratio test. -0.0 and NaN entries of dw are
+    # not negative and drop out.
+    out.fill(-np.inf)
+    np.divide(w, dw, out=out, where=dw < 0.0)
+    return -float(np.maximum.reduce(out[:p])), -float(np.maximum.reduce(out[p:]))
 
 
 def solve_subproblem(problem, tol=1e-8, max_iter=100):
@@ -196,68 +202,142 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
     jac[:k, m] = -1.0
     if nonneg:
         jac[k : k + m, :m] = -np.eye(m)
+    jac_fixed = jac.copy()  # rows without the state-dependent ball gradient
+    ball_row = jac[-1, :m]
     c = np.zeros(n)
     c[m] = 1.0
 
+    # Products inside the iteration use ndarray.dot: it calls the same BLAS
+    # routine as @ (ddot, dgemv or dgemm) on the same operands, so every
+    # result keeps its bits, at about half of @'s dispatch cost.
     def constraints(x):
         f, t = x[:m], x[m]
         g = np.empty(p)
-        g[:k] = nb.T @ f - t
+        g[:k] = nb.T.dot(f) - t
         if nonneg:
             g[k : k + m] = -f
-        g[-1] = f @ f - 2.0 * (f @ h) + 1.0 - big_t
+        g[-1] = f.dot(f) - 2.0 * f.dot(h) + 1.0 - big_t
         return g
+
+    # The iterate (x, s, z) is one array and each Newton direction (dx, ds,
+    # dz) another of the same layout, so a step is one multiply-add and the
+    # trailing 2p entries take one ratio test. Trial points fill a second
+    # state array, copied in when accepted; the views below stay valid.
+    def split(v):
+        return v[:n], v[n : n + p], v[n + p :]
+
+    state = np.empty(n + 2 * p)
+    trial_state = np.empty(n + 2 * p)
+    pred = np.empty(n + 2 * p)
+    corr = np.empty(n + 2 * p)
+    x, s, z = split(state)
+    xt, st, zt = split(trial_state)
+    pred_parts = split(pred)
+    corr_parts = split(corr)
 
     # Strictly interior start: shrink toward the center, lift t above all
     # planes. Slacks and multipliers follow each row's natural scale; the
     # ball row scales with the radius (its multiplier sits near 1/(2 sqrt T)
     # at the optimum), so tiny trust regions must not be floored at 1e-2.
-    x = np.empty(n)
     x[:m] = (1.0 - 0.5 * math.sqrt(big_t)) * h
     x[m] = float((nb.T @ x[:m]).max()) + 1.0
     g = constraints(x)
-    s = np.maximum(-g, 1e-2)
+    np.maximum(-g, 1e-2, out=s)
     s[-1] = max(-g[-1], 1e-2 * big_t)
-    z = np.empty(p)
     z[:k] = 1.0 / k
     if nonneg:
         z[k : k + m] = 0.5
     z[-1] = 0.5 / math.sqrt(big_t)
+    np.subtract(x[:m], h, out=ball_row)
+    np.multiply(ball_row, 2.0, out=ball_row)
 
     def phi(r_p, r_d, gap):
         """Line-search merit: 2-norms of both residuals plus the gap."""
-        return math.sqrt(r_p @ r_p) + math.sqrt(r_d @ r_d) + gap
+        return math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
 
     # Trial points form the dual residual from jac_fixed plus the ball gradient,
     # which differs from the loop top's jac.T @ z by rounding. The tail of the
     # damped line search tests phi_t against (1 - 1e-4*beta)*phi0 at rounding
     # level, so one shared formula would change which steps are accepted.
-    def trial(x, s, z):
-        """Constraint values and merit at a trial point."""
-        g = constraints(x)
-        r_d = c + jac_fixed.T @ z
-        r_d[:m] += z[-1] * (2.0 * (x[:m] - h))
-        return g, phi(g + s, r_d, float(s @ z))
+    def trial():
+        """Constraint values and merit at the point held in trial_state.
 
-    jac_fixed = jac.copy()  # rows without the state-dependent ball gradient
+        Its ball gradient goes straight into jac's last row: jac is not read
+        again in this iteration, and the accepted trial point is the last one
+        evaluated, so the next loop top finds the row already in place.
+        """
+        g = constraints(xt)
+        np.subtract(xt[:m], h, out=ball_row)
+        np.multiply(ball_row, 2.0, out=ball_row)
+        r_d = c + jac_fixed.T.dot(zt)
+        r_d[:m] += zt[-1] * ball_row
+        return g, phi(g + st, r_d, float(st.dot(zt)))
+
+    # Per-solve work arrays; every iteration overwrites them in full.
+    res = np.empty(p + n)
+    r_p, r_d = res[:p], res[p:]
+    d = np.empty(p)
+    jac_d = np.empty((p, n))
+    m_mat = np.empty((n, n))
+    # The ball Hessian and each jitter go onto the diagonal in place (a
+    # strided view of the C-ordered product); every jitter is added to the
+    # same base diagonal. dpotrf reads the lower triangle.
+    diag = m_mat.reshape(-1)[:: n + 1]
+    base = np.empty(n)
+    sz = np.empty(p)
+    rc_s = np.empty(p)
+    rhs = np.empty(p)
+    rp2 = np.empty(p)
+    steps = np.empty(n + 2 * p)
+    ratios = np.empty(2 * p)
+
+    def newton(rp, rc, out):
+        """Write the direction (dx, ds, dz) for primal residual rp and
+        complementarity target rc into the views ``out``."""
+        dx, ds, dz = out
+        np.divide(rc, s, out=rc_s)
+        np.multiply(d, rp, out=rhs)
+        np.subtract(rhs, rc_s, out=rhs)
+        jac.T.dot(rhs, out=dx)
+        np.add(r_d, dx, out=dx)
+        np.negative(dx, out=dx)
+        sol, info = dpotrs(factor, dx, lower=1, overwrite_b=1)
+        if info < 0:
+            raise NumericsFailure(f"dpotrs: illegal value in argument {-info}")
+        dx[...] = sol  # overwrite_b permits an in-place solve but does not promise one
+        jac.dot(dx, out=dz)
+        np.add(dz, rp, out=dz)
+        np.multiply(d, dz, out=dz)
+        np.subtract(dz, rc_s, out=dz)
+        np.multiply(s, dz, out=ds)
+        np.add(rc, ds, out=ds)
+        np.negative(ds, out=ds)
+        np.divide(ds, z, out=ds)
+
+    def advance(a_p, a_d, direction):
+        """trial_state = state + (a_p on x and s, a_d on z) * direction."""
+        steps[: n + p] = a_p
+        steps[n + p :] = a_d
+        np.multiply(steps, direction, out=trial_state)
+        np.add(state, trial_state, out=trial_state)
 
     best = None
     best_merit = np.inf
     certified = None
 
-    # g holds constraints(x) throughout: each accepted trial point hands its
-    # values on, so the loop top needs no evaluation of its own.
+    # g holds constraints(x) and jac's last row the ball gradient at x
+    # throughout: each accepted trial point hands both on, so the loop top
+    # evaluates neither.
     for it in range(max_iter):
-        jac[-1, :m] = 2.0 * (x[:m] - h)
-        r_p = g + s
-        r_d = c + jac.T @ z
-        gap = float(s @ z)
-        rp_max = float(np.abs(r_p).max())
-        merit = max(gap, rp_max, float(np.abs(r_d).max()))
+        np.add(g, s, out=r_p)
+        jac.T.dot(z, out=r_d)
+        np.add(c, r_d, out=r_d)
+        gap = float(s.dot(z))
+        merit = max(gap, float(np.maximum.reduce(np.abs(res))))
         if merit < best_merit:
             best_merit = merit
-            best = (x.copy(), z.copy(), gap)
-        if gap <= tol and rp_max <= tol:
+            best = (state.copy(), gap)
+        if gap <= tol and float(np.abs(r_p).max()) <= tol:
             # Objective certified by the gap; accept once the full optimality
             # residuals sit safely inside the 10*tol contract. Ill-conditioned
             # instances can pin the dual residual slightly above tol while the
@@ -271,16 +351,13 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
                     return candidate
                 certified = candidate
 
-        d = z / s
-        m_mat = (jac * d[:, None]).T @ jac
+        np.divide(z, s, out=d)
+        np.multiply(jac, d[:, None], out=jac_d)
+        jac_d.T.dot(jac, out=m_mat)
         if not np.isfinite(m_mat).all():
             break
-        # The ball Hessian and each jitter go onto the diagonal in place
-        # (a strided view of the C-ordered matmul result); every jitter is
-        # added to the same base diagonal. dpotrf reads the lower triangle.
-        diag = m_mat.reshape(-1)[:: n + 1]
         diag[:m] += 2.0 * z[-1]
-        base = diag.copy()
+        base[:] = diag
         factor = None
         for jitter in (1e-12, 1e-9, 1e-6):
             np.add(base, jitter, out=diag)
@@ -293,67 +370,53 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         if factor is None:
             break
 
-        def newton(rp, rc):
-            """Direction (dx, ds, dz) for primal residual rp and complementarity target rc."""
-            rc_s = rc / s
-            dx, info = dpotrs(factor, -(r_d + jac.T @ (d * rp - rc_s)), lower=1, overwrite_b=1)
-            if info < 0:
-                raise NumericsFailure(f"dpotrs: illegal value in argument {-info}")
-            dz = d * (jac @ dx + rp) - rc_s
-            return dx, -(rc + s * dz) / z, dz
-
         mu = gap / p
         # Predictor: pure Newton step toward complementarity zero.
-        dx_a, ds_a, dz_a = newton(r_p, s * z)
-        a_p = min(1.0, _max_step(s, ds_a))
-        a_d = min(1.0, _max_step(z, dz_a))
-        mu_aff = float((s + a_p * ds_a) @ (z + a_d * dz_a)) / p
+        np.multiply(s, z, out=sz)
+        newton(r_p, sz, pred_parts)
+        dx_a, ds_a, dz_a = pred_parts
+        step_s, step_z = _step_lengths(state[n:], pred[n:], p, ratios)
+        advance(min(1.0, step_s), min(1.0, step_z), pred)
+        mu_aff = float(st.dot(zt)) / p
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0.0 else 0.0
 
         # Corrector: complementarity second-order term plus recentring, and
         # the exact quadratic term of the ball row (its linearization error
         # is exactly ||df||^2), reusing the same factorization.
-        rp2 = r_p.copy()
-        rp2[-1] += float(dx_a[:m] @ dx_a[:m])
-        dx, ds, dz = newton(rp2, s * z + ds_a * dz_a - sigma * mu)
-
-        eta = min(0.99999, max(0.995, 1.0 - 10.0 * mu))
-        a_p = min(1.0, eta * _max_step(s, ds))
-        a_d = min(1.0, eta * _max_step(z, dz))
-        if not (np.isfinite(dx).all() and np.isfinite(ds).all() and np.isfinite(dz).all()):
+        rp2[:] = r_p
+        rp2[-1] += float(dx_a[:m].dot(dx_a[:m]))
+        newton(rp2, sz + ds_a * dz_a - sigma * mu, corr_parts)
+        if not np.isfinite(corr).all():
             break
+        eta = min(0.99999, max(0.995, 1.0 - 10.0 * mu))
+        a_p, a_d = _step_lengths(state[n:], corr[n:], p, ratios)
 
         # Centering and second-order terms may raise the raw KKT residual a
         # little; that is normal. A blow-up means the step left the region
         # where the ball linearization is any good, so fall back to a damped
         # pure Newton step, which is a certified descent direction for the
-        # residual: the predictor direction, whose inputs are unchanged.
+        # residual: the predictor direction and step lengths, whose inputs
+        # are unchanged.
         phi0 = phi(r_p, r_d, gap)
-        xt = x + a_p * dx
-        st = s + a_p * ds
-        zt = z + a_d * dz
-        g_t, phi_t = trial(xt, st, zt)
+        advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
+        g_t, phi_t = trial()
         if not math.isfinite(phi_t) or phi_t > 10.0 * phi0 + tol:
-            dx, ds, dz = dx_a, ds_a, dz_a
-            a_p = min(1.0, eta * _max_step(s, ds))
-            a_d = min(1.0, eta * _max_step(z, dz))
+            a_p = min(1.0, eta * step_s)
+            a_d = min(1.0, eta * step_z)
             beta = 1.0
             for _ in range(40):
-                xt = x + beta * a_p * dx
-                st = s + beta * a_p * ds
-                zt = z + beta * a_d * dz
-                g_t, phi_t = trial(xt, st, zt)
+                advance(beta * a_p, beta * a_d, pred)
+                g_t, phi_t = trial()
                 if math.isfinite(phi_t) and phi_t <= (1.0 - 1e-4 * beta) * phi0:
                     break
                 beta *= 0.5
             else:
                 break
-        x = xt
-        s = st
-        z = zt
+        state[:] = trial_state
         g = g_t
 
-    bx, bz, bgap = best
+    best_state, bgap = best
+    bx, _, bz = split(best_state)
     polished = _polish(problem, bx, bz, tol, it + 1)
     if polished is not None:
         return polished

@@ -89,7 +89,7 @@ class TestDesign:
 
     def test_bad_seed_list(self, tmp_path, capsys):
         out = tmp_path / "out"
-        for seeds in ("x,y", "9..3", ",", "-1", "-2..-1"):
+        for seeds in ("x,y", "9..3", ",", "-1", "-2..-1", "1,1,2"):
             code = run_cli("design", "--m", "4", "--N", "8", f"--seeds={seeds}", "--out", str(out))
             assert code == 2, seeds
             assert not out.exists(), seeds
@@ -205,8 +205,12 @@ class TestCsBench:
             ["--sparsity", "99"],
             ["--sources", "designed-fresh,frame-file"],
             ["--seed", "-1"],
+            ["--m-list", "6,8,6"],
         ],
-        ids=["empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file", "negative-seed"],
+        ids=[
+            "empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file",
+            "negative-seed", "repeated-m-list",
+        ],
     )
     def test_bad_input_rejected_before_any_work(self, tmp_path, bad):
         code = run_cli(

@@ -1,6 +1,8 @@
 """Driver-level behaviour: initialization, trust radii, single sweeps,
 escape scheduling, and full runs on small frames."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,55 @@ class TestRun:
         assert frame.vectors.min() >= 0.0
         assert mutual_coherence(frame) < rep.initial_coherence
         assert rep.escape_sweeps == []
+
+
+class TestPinnedRuns:
+    """Two short runs, each with skipped vectors, pinned to the byte.
+
+    The digests are sha256 of ``frame.vectors.tobytes()``. A refactor of the
+    solver or the sweep must reproduce them exactly; they move only in a
+    recorded fingerprint re-base (ROADMAP item 2, Stage B), which lists the
+    old and new values in CHANGES.md.
+    """
+
+    # (config, digest, skipped vectors per sweep, why they were skipped)
+    PINS = {
+        "signed-15x30": (
+            DesignConfig(m=15, n_vectors=30, sweeps=12, seed=101, eps_stop=1e-3),
+            "e3ea6d0c1ce5ad1f629fcbf9bdf1ee5be936d00ba167d16930c4963845a61f1a",
+            [0, 1] + [0] * 10,
+            "tie_skips",
+        ),
+        "nonneg-20x40": (
+            DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True),
+            "0f11fd7440d1c8cf6b2eacd09c7498a369987e55d5913e12084644ae962482d1",
+            [0, 0, 1, 1, 0, 0, 0, 0],
+            "solver_stalls",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {name: (cfg, *run(cfg)) for name, (cfg, *_) in self.PINS.items()}
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_frame_bytes(self, runs, name):
+        _, digest, stalled, reason = self.PINS[name]
+        _, frame, report = runs[name]
+        assert report.stalled == stalled
+        assert getattr(report, reason) == stalled
+        assert hashlib.sha256(frame.vectors.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_skip_reasons_add_up(self, runs, name):
+        cfg, _, report = runs[name]
+        visited = cfg.n_vectors - (0 if cfg.nonneg else 1)
+        sweeps = len(report.trace)
+        for key in ("updated", "tie_skips", "solver_stalls", "stalled", "degenerate"):
+            assert len(getattr(report, key)) == sweeps, key
+        for k in range(sweeps):
+            assert report.tie_skips[k] + report.solver_stalls[k] == report.stalled[k]
+            assert report.updated[k] + report.stalled[k] + report.degenerate[k] == visited
 
 
 @pytest.mark.slow

@@ -138,6 +138,10 @@ class TestManifest:
         assert doc["initial_coherence"] == report.initial_coherence
         assert doc["trace"] == report.trace
         assert doc["best_sweep"] == report.best_sweep
+        # Skip reasons per sweep; "stalled" keeps the sum of ties and solver stalls.
+        for key in ("updated", "tie_skips", "solver_stalls", "stalled", "degenerate"):
+            assert doc[key] == getattr(report, key), key
+            assert len(doc[key]) == len(report.trace), key
         assert doc["wall_seconds"] == 1.25
         assert abs(doc["final_metrics"]["mu"] - mutual_coherence(frame)) < 1e-15
         assert "numpy" in doc["environment"]

@@ -291,3 +291,52 @@ class TestFactorization:
             sol = solve_subproblem(subproblem_for(frame, i))
             assert 0 < counts["factored"] <= sol.iterations
             assert counts["solved"] <= 2 * sol.iterations
+
+
+def max_step_reference(v, dv):
+    """The textbook ratio test: largest alpha with v + alpha*dv >= 0, v > 0."""
+    neg = dv < 0.0
+    if not neg.any():
+        return np.inf
+    return float((-v[neg] / dv[neg]).min())
+
+
+class TestStepLengths:
+    """The one-pass ratio test over (s, z) equals the textbook test on each half, bit for bit."""
+
+    @staticmethod
+    def both(s, z, ds, dz):
+        p = s.size
+        got = incoframes.minimax._step_lengths(
+            np.concatenate([s, z]), np.concatenate([ds, dz]), p, np.empty(2 * p)
+        )
+        return got, (max_step_reference(s, ds), max_step_reference(z, dz))
+
+    def test_random_directions(self):
+        rng = np.random.default_rng(5)
+        for p in (1, 2, 7, 30, 61):
+            for _ in range(50):
+                s, z = np.exp(rng.normal(0, 3, p)), np.exp(rng.normal(0, 3, p))
+                ds, dz = rng.normal(0, 2, p), rng.normal(0, 2, p)
+                got, want = self.both(s, z, ds, dz)
+                assert got == want
+                # The same floats, not merely equal ones: -0.0 and 0.0 compare equal.
+                assert [math.copysign(1.0, a) for a in got] == [math.copysign(1.0, b) for b in want]
+
+    @pytest.mark.parametrize(
+        "ds, dz",
+        [
+            ([0.5, 2.0, 0.0], [1.0, 3.0, 4.0]),  # no negative entry in either half
+            ([-1.0, -2.0, -3.0], [-0.5, -0.25, -8.0]),  # all negative
+            ([-0.0, 0.0, -1.0], [0.0, -0.0, -0.0]),  # signed zeros are not negative
+            ([np.nan, -1.0, 2.0], [np.nan, np.nan, np.nan]),  # NaN entries drop out
+            ([np.nan, -np.inf, -3.0], [-1e-300, 1.0, np.inf]),
+        ],
+        ids=["none-negative", "all-negative", "signed-zeros", "nan", "extremes"],
+    )
+    def test_edge_cases(self, ds, dz):
+        s = np.array([1.0, 0.25, 3.0])
+        z = np.array([2.0, 1e-12, 5.0])
+        got, want = self.both(s, z, np.array(ds), np.array(dz))
+        assert got == want
+        assert [math.copysign(1.0, a) for a in got] == [math.copysign(1.0, b) for b in want]
