@@ -9,31 +9,21 @@ the answer is known in closed form, which makes the geometry easy to see.
 
 import numpy as np
 
-from incoframes import (
-    TrustSubproblem,
-    canonicalize_signs,
-    choose_radius,
-    make_simplex_etf,
-    solve_subproblem,
-)
+from incoframes import make_simplex_etf, solve_subproblem, subproblem
 
 etf = make_simplex_etf(3)
-v = etf.vectors
 i = 0
-h = v[:, i]
+h = etf.vectors[:, i]
 
-# The radius is capped by the nearest neighbor: the ball must stay clear
-# of the slab where that neighbor's correlation would exceed the current one.
-radius_sq = choose_radius(etf, i)
+# `subproblem` builds the instance exactly as the design loop's sweep does.
+# It flips neighbor signs so every correlation with the reference is
+# non-negative (a flip never changes |corr|), and it caps the radius by the
+# nearest neighbor: the ball must stay clear of the slab where that
+# neighbor's correlation would exceed the current one.
+problem = subproblem(etf, i)
+radius_sq = problem.radius_sq
 print(f"reference vector h = {np.round(h, 4)}")
 print(f"squared trust radius T = {radius_sq:.6f}")
-
-# The subproblem contract wants every neighbor correlated non-negatively
-# with the reference, so flip signs first (a flip never changes |corr|).
-# The sweep in the design loop does the same thing before each update.
-flipped, _ = canonicalize_signs(etf, i)
-neighbors = np.delete(flipped.vectors, i, axis=1)
-problem = TrustSubproblem(reference=h, neighbors=neighbors, radius_sq=radius_sq)
 sol = solve_subproblem(problem)
 
 root = np.sqrt(radius_sq)

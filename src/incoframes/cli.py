@@ -55,22 +55,23 @@ def _parse_seeds(text):
                 raise InvalidInput(f"empty seed range {text!r}")
             return list(range(lo, hi + 1))
         if "," in text:
-            return _parse_int_list(text)
+            return _parse_list(text, int)
         return [int(text)]
     except ValueError as exc:
         raise InvalidInput(f"bad seed list {text!r}: {exc}") from exc
 
 
-def _parse_int_list(text):
+def _parse_list(text, item=str.strip):
+    """Comma-separated list, each non-empty part converted by ``item``."""
     try:
-        values = [int(p) for p in text.split(",") if p.strip()]
+        values = [item(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise InvalidInput(f"bad integer list {text!r}: {exc}") from exc
+        raise InvalidInput(f"bad list {text!r}: {exc}") from exc
     if not values:
         raise InvalidInput(f"empty list {text!r}")
     if len(set(values)) != len(values):
-        # A repeated seed or size would rerun it, overwrite its files and
-        # count it twice in the summary.
+        # A repeated seed, size or source would rerun it, overwrite its files
+        # and count it twice in the summary.
         raise InvalidInput(f"repeated value in list {text!r}")
     return values
 
@@ -179,10 +180,8 @@ def _sensing_for(source, m, args):
 
 
 def _cmd_cs_bench(args):
-    m_list = _parse_int_list(args.m_list)
-    sources = [s.strip() for s in args.sources.split(",") if s.strip()]
-    if not sources:
-        raise InvalidInput(f"empty source list {args.sources!r}")
+    m_list = _parse_list(args.m_list, int)
+    sources = _parse_list(args.sources)
     for s in sources:
         if s not in _SOURCES:
             raise InvalidInput(f"unknown sensing source {s!r} (choose from {_SOURCES})")

@@ -6,7 +6,8 @@ order and replaces one vector at a time by the normalized solution of its
 trust-region minimax subproblem. Sign flips keep all correlations with the
 active vector non-negative, the trust radius stays strictly inside the
 per-vector safe bound, and a tie gate skips vectors whose update provably
-cannot make progress.
+cannot make progress. ``subproblem(frame, i)`` builds vector i's instance
+through the same code a sweep uses.
 When sweeps flatten out, an orthonormal-polar "escape" step retightens the
 frame and the search continues; the best frame ever seen is returned.
 """
@@ -142,50 +143,62 @@ def initialize(cfg):
     return Frame(work)
 
 
-def choose_radius(frame, i, slack=_RADIUS_SLACK):
-    """Squared trust radius for vector i: (1 - slack) * (1 - max_j g_ij^2)."""
-    if not (0.0 < slack <= 0.1):
-        raise InvalidInput(f"slack must be in (0, 0.1], got {slack}")
-    v = frame.vectors
-    corr = np.abs(v.T @ v[:, i])
+def _prepare(work, i, nonneg, tie_gate):
+    """Vector i's subproblem over ``work``, whose columns are flipped in place
+    in signed mode so every correlation with column i is non-negative.
+
+    Raises DegenerateVector if column i duplicates another. With ``tie_gate``
+    set, returns None and builds nothing when m or more neighbors tie at the
+    largest correlation: then no update can make progress.
+    """
+    col = work[:, i]
+    corr = work.T @ col
+    corr[i] = 0.0
+    if not nonneg:
+        neg = corr < 0.0
+        if neg.any():
+            work[:, neg] *= -1.0
+            corr[neg] = -corr[neg]
     corr[i] = -1.0
     gmax = float(corr.max())
     if gmax >= 1.0 - _DUP_TOL:
         raise DegenerateVector(f"vector {i} duplicates another (|g| = {gmax:.15f})")
-    return (1.0 - slack) * (1.0 - gmax * gmax)
+    if tie_gate and gmax > 0.0 and (corr >= gmax * (1.0 - _TIE_REL)).sum() >= work.shape[0]:
+        return None
+    return TrustSubproblem(
+        reference=col.copy(),
+        neighbors=np.delete(work, i, axis=1),
+        radius_sq=(1.0 - _RADIUS_SLACK) * (1.0 - gmax * gmax),
+        nonneg=nonneg,
+    )
+
+
+def subproblem(frame, i, nonneg=False):
+    """Vector i's trust-region subproblem, built by the sweep's own code.
+
+    The squared radius is (1 - 1e-4) * (1 - max_j g_ij^2). No tie gate
+    applies, so the simplex ETF, where every neighbor ties, has one too.
+    Raises DegenerateVector if vector i duplicates another.
+    """
+    if not 0 <= i < frame.n_vectors:
+        raise InvalidInput(f"column index {i} out of range for N={frame.n_vectors}")
+    return _prepare(np.array(frame.vectors, order="F", copy=True), i, nonneg, tie_gate=False)
 
 
 def _sweep_inplace(work, cfg, rng):
     """One randomized pass updating ``work`` columns in place."""
-    m, n = work.shape
     start = 0 if cfg.nonneg else 1
-    order = rng.permutation(np.arange(start, n))
+    order = rng.permutation(np.arange(start, work.shape[1]))
     stats = SweepStats()
     for i in order:
-        col = work[:, i]
-        corr = work.T @ col
-        corr[i] = 0.0
-        if not cfg.nonneg:
-            neg = corr < 0.0
-            if neg.any():
-                work[:, neg] *= -1.0
-                corr[neg] = -corr[neg]
-        corr[i] = -1.0
-        gmax = float(corr.max())
-        if gmax >= 1.0 - _DUP_TOL:
+        try:
+            problem = _prepare(work, i, cfg.nonneg, tie_gate=True)
+        except DegenerateVector:
             stats.degenerate += 1
             continue
-        ties = int((corr >= gmax * (1.0 - _TIE_REL)).sum()) if gmax > 0.0 else 0
-        if ties >= m:
+        if problem is None:
             stats.tie_skips += 1
             continue
-        radius_sq = (1.0 - _RADIUS_SLACK) * (1.0 - gmax * gmax)
-        problem = TrustSubproblem(
-            reference=col.copy(),
-            neighbors=np.delete(work, i, axis=1),
-            radius_sq=radius_sq,
-            nonneg=cfg.nonneg,
-        )
         try:
             sol = solve_subproblem(problem, tol=_SOLVER_TOL)
         except SolverStall:

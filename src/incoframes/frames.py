@@ -1,4 +1,4 @@
-"""Unit-norm frames: coherence metrics, sign canonicalization, tight-frame certificates.
+"""Unit-norm frames: coherence metrics and tight-frame certificates.
 
 A frame here is an m x N real matrix of unit-norm columns, m <= N. The metrics
 of interest are the largest and the average absolute pairwise correlation, the
@@ -143,23 +143,6 @@ def frame_metrics(frame):
     )
 
 
-def canonicalize_signs(frame, i):
-    """Flip columns so every correlation with column ``i`` is non-negative.
-
-    Returns the new Frame and the +-1 sign vector applied; multiplying the
-    new columns by the signs restores the original orientation. Coherence is
-    invariant under the flip.
-    """
-    v = frame.vectors
-    n = v.shape[1]
-    if not 0 <= i < n:
-        raise InvalidInput(f"column index {i} out of range for N={n}")
-    corr = v.T @ v[:, i]
-    signs = np.where(corr < 0.0, -1.0, 1.0)
-    signs[i] = 1.0
-    return Frame(v * signs), signs
-
-
 def make_simplex_etf(m):
     """Regular simplex frame: m x (m+1), every pairwise correlation equal to -1/m.
 
@@ -204,7 +187,7 @@ def certify_etf(frame, tol=1e-6):
         raise InvalidInput(f"tol must be in (0, 1e-2], got {tol}")
     v = frame.vectors
     m, n = v.shape
-    _, off = correlations(v)
+    g, off = correlations(v)
     mu = float(off.max())
     spread = float(off.max() - off.min())
     is_eq = spread <= tol * max(mu, 1e-300) if mu > 0.0 else True
@@ -215,8 +198,11 @@ def certify_etf(frame, tol=1e-6):
     if not (is_eq and is_tight and mu > tol):
         return EtfCertificate(is_equiangular=is_eq, is_tight=is_tight, mu_attained=mu)
 
-    canon, _ = canonicalize_signs(frame, 0)
-    gc = canon.gram()
+    # The Gram of the columns flipped so every correlation with column 0 is
+    # non-negative, the orientation ``design.subproblem(frame, 0)`` builds.
+    flip = np.where(g[:, 0] < 0.0, -1.0, 1.0)
+    flip[0] = 1.0
+    gc = g * flip[:, None] * flip[None, :]
     target = (n - m) / m
     eigen_residual = float(np.abs(gc[1:, 1:] @ np.ones(n - 1) - target).max())
 

@@ -37,9 +37,10 @@ from .frames import _UNIT_TOL
 class TrustSubproblem:
     """One minimax step: reference vector, neighbor columns, squared radius.
 
-    ``neighbors`` must have non-negative correlation with ``reference``
-    (callers canonicalize signs first) and the squared radius must satisfy
-    ``0 < radius_sq < 1 - max_j (h_j^T h)^2``.
+    ``neighbors`` must have non-negative correlation with ``reference`` and
+    the squared radius must satisfy ``0 < radius_sq < 1 - max_j (h_j^T h)^2``;
+    ``design.subproblem(frame, i)`` builds a valid instance for any vector
+    of a frame.
     """
 
     reference: np.ndarray

@@ -16,7 +16,6 @@ from incoframes import (
     Frame,
     TrustSubproblem,
     adapt_dictionary,
-    choose_radius,
     frame_potential,
     make_planted_dataset,
     make_simplex_etf,
@@ -26,6 +25,7 @@ from incoframes import (
     run,
     run_cs_experiment,
     solve_subproblem,
+    subproblem,
     unit_columns,
 )
 from incoframes.cli import main as cli_main
@@ -156,26 +156,13 @@ def test_criterion_06_monotonicity_15x60():
     assert violations == 0
 
 
-def canonicalize_for(frame, i):
-    v = np.array(frame.vectors, copy=True)
-    corr = v.T @ v[:, i]
-    neg = corr < 0.0
-    neg[i] = False
-    v[:, neg] *= -1.0
-    return Frame(v)
-
-
 def harvest_problem(frame, i, max_neighbors=None):
-    fr = canonicalize_for(frame, i)
-    v = fr.vectors
-    radius = choose_radius(fr, i)
-    corr = v.T @ v[:, i]
-    corr[i] = -np.inf
-    others = np.flatnonzero(np.arange(v.shape[1]) != i)
-    if max_neighbors is not None and others.size > max_neighbors:
-        order = np.argsort(corr[others])[::-1]
-        others = others[order[:max_neighbors]]
-    return TrustSubproblem(v[:, i].copy(), v[:, others], radius)
+    prob = subproblem(frame, i)
+    h, nb = prob.reference, prob.neighbors
+    if max_neighbors is not None and nb.shape[1] > max_neighbors:
+        order = np.argsort(nb.T @ h)[::-1]
+        prob = TrustSubproblem(h, nb[:, order[:max_neighbors]], prob.radius_sq)
+    return prob
 
 
 def brute_force_circle(problem, step=1e-3):

@@ -206,10 +206,11 @@ class TestCsBench:
             ["--sources", "designed-fresh,frame-file"],
             ["--seed", "-1"],
             ["--m-list", "6,8,6"],
+            ["--sources", "random-gaussian, random-gaussian"],
         ],
         ids=[
             "empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file",
-            "negative-seed", "repeated-m-list",
+            "negative-seed", "repeated-m-list", "repeated-sources",
         ],
     )
     def test_bad_input_rejected_before_any_work(self, tmp_path, bad):

@@ -1,4 +1,4 @@
-"""Frame container, metrics, sign canonicalization, and ETF certification."""
+"""Frame container, metrics, and ETF certification."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ from incoframes import (
     Frame,
     InvalidInput,
     average_coherence,
-    canonicalize_signs,
     certify_etf,
     frame_metrics,
     frame_potential,
@@ -134,32 +133,6 @@ class TestMetrics:
         fm = frame_metrics(Frame(v))
         assert fm.mu == pytest.approx(c, abs=1e-12)
         assert fm.mu_avg == pytest.approx(c, abs=1e-12)
-
-
-class TestCanonicalizeSigns:
-    def test_all_correlations_nonnegative(self):
-        rng = np.random.default_rng(7)
-        fr = Frame(unit_columns(rng.standard_normal((6, 13))))
-        for i in (0, 5, 12):
-            canon, signs = canonicalize_signs(fr, i)
-            corr = canon.vectors.T @ canon.vectors[:, i]
-            corr[i] = 1.0
-            assert corr.min() >= -1e-12
-            assert signs[i] == 1.0
-            assert set(np.unique(signs)) <= {-1.0, 1.0}
-
-    def test_flips_recorded(self):
-        rng = np.random.default_rng(8)
-        fr = Frame(unit_columns(rng.standard_normal((4, 8))))
-        canon, signs = canonicalize_signs(fr, 2)
-        assert np.allclose(canon.vectors, fr.vectors * signs, atol=1e-14)
-
-    def test_metrics_invariant_under_canonicalization(self):
-        rng = np.random.default_rng(9)
-        fr = Frame(unit_columns(rng.standard_normal((5, 9))))
-        canon, _ = canonicalize_signs(fr, 3)
-        assert mutual_coherence(canon) == pytest.approx(mutual_coherence(fr), abs=1e-14)
-        assert frame_potential(canon) == pytest.approx(frame_potential(fr), abs=1e-10)
 
 
 class TestSimplexEtf:

@@ -12,27 +12,26 @@ from incoframes import (
     NumericsFailure,
     SolverStall,
     TrustSubproblem,
-    canonicalize_signs,
-    choose_radius,
     initialize,
     kkt_residuals,
     make_simplex_etf,
     solve_subproblem,
+    subproblem,
     sweep,
     unit_columns,
 )
 
 
-def subproblem_for(frame, i, slack=1e-4, max_neighbors=None):
-    """Canonicalize around column i and build its trust-region instance."""
-    canon, _ = canonicalize_signs(frame, i)
-    radius = choose_radius(canon, i, slack)
-    h = canon.vectors[:, i]
-    nb = np.delete(canon.vectors, i, axis=1)
+def subproblem_for(frame, i, max_neighbors=None):
+    """Vector i's trust-region instance, optionally cut to its most
+    correlated neighbors (the radius stays: the top neighbor is kept)."""
+    prob = subproblem(frame, i)
+    h, nb = prob.reference, prob.neighbors
     if max_neighbors is not None and nb.shape[1] > max_neighbors:
         order = np.argsort(-(nb.T @ h))
         nb = nb[:, order[:max_neighbors]]
-    return TrustSubproblem(reference=h, neighbors=nb, radius_sq=radius)
+        prob = TrustSubproblem(reference=h, neighbors=nb, radius_sq=prob.radius_sq)
+    return prob
 
 
 def harvested_frames(m, n, seed, run_in_sweeps=2):
@@ -173,18 +172,8 @@ class TestOptimalityProperties:
 class TestNonnegativeVariant:
     def test_solution_stays_nonnegative(self):
         rng = np.random.default_rng(21)
-        v = unit_columns(np.abs(rng.standard_normal((6, 15))))
-        frame = Frame(v)
-        corr = v.T @ v[:, 2]
-        corr[2] = -1.0
-        gmax = float(corr.max())
-        prob = TrustSubproblem(
-            reference=v[:, 2],
-            neighbors=np.delete(v, 2, axis=1),
-            radius_sq=(1.0 - 1e-4) * (1.0 - gmax * gmax),
-            nonneg=True,
-        )
-        sol = solve_subproblem(prob)
+        frame = Frame(unit_columns(np.abs(rng.standard_normal((6, 15)))))
+        sol = solve_subproblem(subproblem(frame, 2, nonneg=True))
         assert sol.converged
         assert sol.f.min() >= -1e-8
         assert sol.bound_lam is not None
@@ -193,14 +182,9 @@ class TestNonnegativeVariant:
 
     def test_nonneg_no_worse_than_projected_unconstrained(self):
         rng = np.random.default_rng(22)
-        v = unit_columns(np.abs(rng.standard_normal((4, 9))))
-        corr = v.T @ v[:, 1]
-        corr[1] = -1.0
-        gmax = float(corr.max())
-        radius = (1.0 - 1e-4) * (1.0 - gmax * gmax)
-        nb = np.delete(v, 1, axis=1)
-        sol_free = solve_subproblem(TrustSubproblem(v[:, 1], nb, radius))
-        sol_nn = solve_subproblem(TrustSubproblem(v[:, 1], nb, radius, nonneg=True))
+        frame = Frame(unit_columns(np.abs(rng.standard_normal((4, 9)))))
+        sol_free = solve_subproblem(subproblem(frame, 1))
+        sol_nn = solve_subproblem(subproblem(frame, 1, nonneg=True))
         # Adding constraints cannot improve the optimum.
         assert sol_nn.t >= sol_free.t - 1e-9
 
