@@ -10,11 +10,9 @@ from ._version import __version__
 from .design import (
     DesignConfig,
     SweepReport,
-    SweepStats,
     initialize,
     run,
     subproblem,
-    sweep,
 )
 from .errors import (
     DegenerateVector,
@@ -42,10 +40,8 @@ from .frames import (
     EtfCertificate,
     Frame,
     FrameMetrics,
-    average_coherence,
     certify_etf,
     frame_metrics,
-    frame_potential,
     make_simplex_etf,
     mutual_coherence,
     random_unit_frame,
@@ -90,15 +86,12 @@ __all__ = [
     "SubproblemSolution",
     "SvdResult",
     "SweepReport",
-    "SweepStats",
     "TrustSubproblem",
     "adapt_dictionary",
-    "average_coherence",
     "certify_etf",
     "environment_fingerprint",
     "extract_patches",
     "frame_metrics",
-    "frame_potential",
     "initialize",
     "kkt_residuals",
     "least_squares",
@@ -117,7 +110,6 @@ __all__ = [
     "solve_subproblem",
     "subproblem",
     "svd",
-    "sweep",
     "unit_columns",
     "unit_polar",
     "welch_bound",

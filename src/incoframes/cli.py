@@ -195,6 +195,9 @@ def _cmd_cs_bench(args):
         trials=args.trials,
         seed=args.seed,
     )
+    for m in m_list:
+        if not 2 <= m <= args.N:
+            raise InvalidInput(f"every m needs 2 <= m <= N={args.N}, got m={m}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = []

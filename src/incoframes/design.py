@@ -7,13 +7,13 @@ trust-region minimax subproblem. Sign flips keep all correlations with the
 active vector non-negative, the trust radius stays strictly inside the
 per-vector safe bound, and a tie gate skips vectors whose update provably
 cannot make progress. ``subproblem(frame, i)`` builds vector i's instance
-through the same code a sweep uses.
+through the same code a sweep uses, and ``run`` is the one driver of sweeps.
 When sweeps flatten out, an orthonormal-polar "escape" step retightens the
 frame and the search continues; the best frame ever seen is returned.
 """
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +35,6 @@ _DUP_TOL = 1e-12
 # Relative tolerance for counting ties at the maximum correlation.
 _TIE_REL = 1e-9
 _RADIUS_SLACK = 1e-4  # squared trust radius T_i = (1 - _RADIUS_SLACK) * (1 - g_max^2)
-_SOLVER_TOL = 1e-8  # duality gap and infeasibility target of every subproblem solve
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,9 @@ class DesignConfig:
     ``eps_stop`` is the mean three-sweep coherence decrease below which the
     escape step fires. Nonnegative mode optimizes entrywise-nonnegative
     vectors; it disables sign flips and escape steps and optimizes every
-    vector including the first one. The trust radius backoff (1e-4) and the
-    subproblem solver tolerance (1e-8) are fixed.
+    vector including the first one. The trust radius backoff (1e-4) is
+    fixed, and every subproblem is certified to the solver's fixed duality
+    gap of 1e-8.
     """
 
     m: int
@@ -65,20 +65,6 @@ class DesignConfig:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.eps_stop < 1.0):
             raise InvalidInput(f"eps_stop must be in (0, 1), got {self.eps_stop}")
-
-
-@dataclass
-class SweepStats:
-    """Per-sweep bookkeeping from the inner loop."""
-
-    updated: int = 0
-    tie_skips: int = 0
-    solver_stalls: int = 0
-    degenerate: int = 0
-
-    @property
-    def stalled(self):
-        return self.tie_skips + self.solver_stalls
 
 
 @dataclass
@@ -105,7 +91,6 @@ class SweepReport:
     trace: list = field(default_factory=list)
     escape_sweeps: list = field(default_factory=list)
     escape_coherence: list = field(default_factory=list)
-    sweep_seconds: list = field(default_factory=list)
     updated: list = field(default_factory=list)
     tie_skips: list = field(default_factory=list)
     solver_stalls: list = field(default_factory=list)
@@ -186,43 +171,33 @@ def subproblem(frame, i, nonneg=False):
 
 
 def _sweep_inplace(work, cfg, rng):
-    """One randomized pass updating ``work`` columns in place."""
+    """One randomized pass updating ``work`` columns in place; returns how
+    many visited vectors were updated, tie-skipped, stalled or degenerate."""
     start = 0 if cfg.nonneg else 1
     order = rng.permutation(np.arange(start, work.shape[1]))
-    stats = SweepStats()
+    counts = Counter()
     for i in order:
         try:
             problem = _prepare(work, i, cfg.nonneg, tie_gate=True)
         except DegenerateVector:
-            stats.degenerate += 1
+            counts["degenerate"] += 1
             continue
         if problem is None:
-            stats.tie_skips += 1
+            counts["tie_skips"] += 1
             continue
         try:
-            sol = solve_subproblem(problem, tol=_SOLVER_TOL)
+            sol = solve_subproblem(problem)
         except SolverStall:
-            stats.solver_stalls += 1
+            counts["solver_stalls"] += 1
             continue
         f = np.maximum(sol.f, 0.0) if cfg.nonneg else sol.f
         norm = float(np.linalg.norm(f))
         if norm <= 1e-12:
-            stats.solver_stalls += 1
+            counts["solver_stalls"] += 1
             continue
         work[:, i] = f / norm
-        stats.updated += 1
-    return stats
-
-
-def sweep(frame, cfg, rng):
-    """One full randomized sweep over the frame; returns the new frame and stats."""
-    if frame.m != cfg.m or frame.n_vectors != cfg.n_vectors:
-        raise InvalidInput(
-            f"frame is {frame.m}x{frame.n_vectors}, config wants {cfg.m}x{cfg.n_vectors}"
-        )
-    work = np.array(frame.vectors, order="F", copy=True)
-    stats = _sweep_inplace(work, cfg, rng)
-    return Frame(work), stats
+        counts["updated"] += 1
+    return counts
 
 
 def run(cfg, initial=None):
@@ -233,7 +208,8 @@ def run(cfg, initial=None):
     cfg : DesignConfig
     initial : Frame, optional
         Starting frame; defaults to the seeded initialization. Dimensions
-        must match the config.
+        must match the config, and the sweep orders then come from
+        ``np.random.default_rng(cfg.seed)``.
 
     Returns
     -------
@@ -262,16 +238,12 @@ def run(cfg, initial=None):
         if mu <= 1e-12:
             # Exactly orthonormal columns (possible only for N <= m): nothing to improve.
             break
-        started = time.perf_counter()
-        stats = _sweep_inplace(work, cfg, rng)
+        counts = _sweep_inplace(work, cfg, rng)
         mu_new = float(correlations(work)[1].max())
-        report.sweep_seconds.append(time.perf_counter() - started)
         report.trace.append(mu_new)
-        report.updated.append(stats.updated)
-        report.tie_skips.append(stats.tie_skips)
-        report.solver_stalls.append(stats.solver_stalls)
-        report.stalled.append(stats.stalled)
-        report.degenerate.append(stats.degenerate)
+        for key in ("updated", "tie_skips", "solver_stalls", "degenerate"):
+            getattr(report, key).append(counts[key])
+        report.stalled.append(counts["tie_skips"] + counts["solver_stalls"])
         decreases.append(mu - mu_new)
         mu = mu_new
         if mu < best_mu:

@@ -19,8 +19,9 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .errors import FrameFormatError, InvalidInput
-from .design import _RADIUS_SLACK, _SOLVER_TOL
+from .design import _RADIUS_SLACK
 from .frames import _UNIT_TOL, Frame, correlations, mutual_coherence, welch_bound
+from .minimax import _TOL
 
 _FORMAT_NAME = "incoframes-frame"
 _FORMAT_VERSION = 1
@@ -40,7 +41,7 @@ def environment_fingerprint():
     }
 
 
-def write_frame(path, frame, seed=None, nonneg=False, extra=None):
+def write_frame(path, frame, seed=None, nonneg=False):
     """Write a frame file: one JSON header line, then m rows of repr floats."""
     header = {
         "format": _FORMAT_NAME,
@@ -53,8 +54,6 @@ def write_frame(path, frame, seed=None, nonneg=False, extra=None):
     }
     if seed is not None:
         header["seed"] = int(seed)
-    if extra:
-        header.update(extra)
     lines = [json.dumps(header, sort_keys=True)]
     for row in frame.vectors:
         lines.append(",".join(repr(float(x)) for x in row))
@@ -132,7 +131,7 @@ def write_manifest(path, cfg, report, wall_seconds):
             "seed": cfg.seed,
             "eps_stop": cfg.eps_stop,
             "radius_slack": _RADIUS_SLACK,
-            "solver_tol": _SOLVER_TOL,
+            "solver_tol": _TOL,
             "nonneg": cfg.nonneg,
             "escape_enabled": not cfg.nonneg,
         },

@@ -61,10 +61,6 @@ class Frame:
     def n_vectors(self):
         return self.vectors.shape[1]
 
-    def gram(self):
-        """Gram matrix of the columns, shape (N, N)."""
-        return self.vectors.T @ self.vectors
-
 
 @dataclass(frozen=True)
 class FrameMetrics:
@@ -116,19 +112,13 @@ def mutual_coherence(frame):
     return float(correlations(frame.vectors)[1].max())
 
 
-def average_coherence(frame):
-    """Mean absolute inner product over distinct column pairs."""
-    return float(correlations(frame.vectors)[1].mean())
-
-
-def frame_potential(frame):
-    """Squared Frobenius norm of the Gram matrix; at least N^2/m, with equality iff tight."""
-    g, _ = correlations(frame.vectors)
-    return float((g * g).sum())
-
-
 def frame_metrics(frame):
-    """All scalar metrics of a frame in one pass."""
+    """All scalar metrics of a frame in one pass.
+
+    ``mu_avg`` is the mean |correlation| over distinct column pairs and
+    ``frame_potential`` the squared Frobenius norm of the Gram matrix, at
+    least N^2/m with equality iff the frame is tight.
+    """
     g, off = correlations(frame.vectors)
     mu = float(off.max())
     # The cap is inclusive at the boundary; guard the floor against the

@@ -32,6 +32,11 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import InvalidInput, NumericsFailure, SolverStall
 from .frames import _UNIT_TOL
 
+# Absolute target for the duality gap and the primal infeasibility of every
+# solve; a certified solution keeps each KKT residual within 10 * _TOL.
+_TOL = 1e-8
+_MAX_ITER = 100  # interior-point iteration cap
+
 
 @dataclass(frozen=True)
 class TrustSubproblem:
@@ -160,17 +165,11 @@ def _step_lengths(w, dw, p, out):
     return -float(np.maximum.reduce(out[:p])), -float(np.maximum.reduce(out[p:]))
 
 
-def solve_subproblem(problem, tol=1e-8, max_iter=100):
-    """Solve a TrustSubproblem to a certified duality gap.
+def solve_subproblem(problem):
+    """Solve a TrustSubproblem, certified to a duality gap of 1e-8.
 
-    Parameters
-    ----------
-    problem : TrustSubproblem
-    tol : float
-        Absolute target for the duality gap and the primal/dual infeasibility
-        max-norms; must lie in (0, 1e-4].
-    max_iter : int
-        Interior-point iteration cap.
+    ``_TOL`` (1e-8) is the target for the gap and the primal infeasibility;
+    a returned solution keeps every KKT residual within 10 * ``_TOL``.
 
     Returns
     -------
@@ -180,16 +179,12 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
     Raises
     ------
     SolverStall
-        If the iteration cap is hit first; the exception carries the best
+        If no certificate is reached within ``_MAX_ITER`` (100) iterations,
+        or the step search gives up first; the exception carries the best
         iterate and its gap.
     NumericsFailure
         If LAPACK rejects an argument, which no input data can cause.
     """
-    if not (0.0 < tol <= 1e-4):
-        raise InvalidInput(f"tol must be in (0, 1e-4], got {tol}")
-    if max_iter < 5:
-        raise InvalidInput(f"max_iter must be >= 5, got {max_iter}")
-
     h = problem.reference
     nb = problem.neighbors
     big_t = problem.radius_sq
@@ -329,7 +324,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
     # g holds constraints(x) and jac's last row the ball gradient at x
     # throughout: each accepted trial point hands both on, so the loop top
     # evaluates neither.
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         np.add(g, s, out=r_p)
         jac.T.dot(z, out=r_d)
         np.add(c, r_d, out=r_d)
@@ -338,17 +333,17 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         if merit < best_merit:
             best_merit = merit
             best = (state.copy(), gap)
-        if gap <= tol and float(np.abs(r_p).max()) <= tol:
+        if gap <= _TOL and float(np.abs(r_p).max()) <= _TOL:
             # Objective certified by the gap; accept once the full optimality
-            # residuals sit safely inside the 10*tol contract. Ill-conditioned
-            # instances can pin the dual residual slightly above tol while the
+            # residuals sit safely inside the 10*_TOL contract. Ill-conditioned
+            # instances can pin the dual residual slightly above _TOL while the
             # gap is already many orders below it. The optimum always sits on
-            # the ball boundary, so also require the ball slack inside tol;
+            # the ball boundary, so also require the ball slack inside _TOL;
             # a gap-certified iterate with a loose boundary is kept as a
             # fallback in case the cap runs out first.
             candidate = _package(problem, x, z, gap, it, True)
-            if candidate.residuals.worst() <= 9.0 * tol:
-                if abs(g[-1]) <= tol:
+            if candidate.residuals.worst() <= 9.0 * _TOL:
+                if abs(g[-1]) <= _TOL:
                     return candidate
                 certified = candidate
 
@@ -401,7 +396,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         phi0 = phi(r_p, r_d, gap)
         advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
         g_t, phi_t = trial()
-        if not math.isfinite(phi_t) or phi_t > 10.0 * phi0 + tol:
+        if not math.isfinite(phi_t) or phi_t > 10.0 * phi0 + _TOL:
             a_p = min(1.0, eta * step_s)
             a_d = min(1.0, eta * step_z)
             beta = 1.0
@@ -418,7 +413,7 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
 
     best_state, bgap = best
     bx, _, bz = split(best_state)
-    polished = _polish(problem, bx, bz, tol, it + 1)
+    polished = _polish(problem, bx, bz, it + 1)
     if polished is not None:
         return polished
     if certified is not None:
@@ -427,13 +422,13 @@ def solve_subproblem(problem, tol=1e-8, max_iter=100):
         return certified
     partial = _package(problem, bx, bz, bgap, it + 1, False)
     raise SolverStall(
-        f"no certificate after {it + 1} iterations (gap {bgap:.3e}, tol {tol:.1e})",
+        f"no certificate after {it + 1} iterations (gap {bgap:.3e}, tol {_TOL:.1e})",
         solution=partial,
         gap=bgap,
     )
 
 
-def _polish(problem, x, z, tol, iterations):
+def _polish(problem, x, z, iterations):
     """Active-set Newton cleanup from a near-converged interior iterate.
 
     The condensed step equations square the conditioning of the constraint
@@ -542,7 +537,7 @@ def _polish(problem, x, z, tol, iterations):
         if nonneg:
             gap += float(np.abs(f * z_full[k : k + m]).sum())
         sol = _package(problem, np.concatenate([f, [t]]), z_full, gap, iterations, True)
-        if sol.residuals.worst() <= 9.0 * tol and abs(g_ball) <= tol:
+        if sol.residuals.worst() <= 9.0 * _TOL and abs(g_ball) <= _TOL:
             return sol
         return None
     return None

@@ -207,10 +207,12 @@ class TestCsBench:
             ["--seed", "-1"],
             ["--m-list", "6,8,6"],
             ["--sources", "random-gaussian, random-gaussian"],
+            ["--m-list", "6,13"],
+            ["--m-list", "6,1"],
         ],
         ids=[
             "empty-m-list", "empty-sources", "zero-trials", "sparsity", "no-frame-file",
-            "negative-seed", "repeated-m-list", "repeated-sources",
+            "negative-seed", "repeated-m-list", "repeated-sources", "m-above-N", "m-below-2",
         ],
     )
     def test_bad_input_rejected_before_any_work(self, tmp_path, bad):

@@ -1,5 +1,5 @@
 """Driver-level behaviour: initialization, subproblem construction, single
-sweeps, escape scheduling, and full runs on small frames."""
+sweeps through ``run``, escape scheduling, and full runs on small frames."""
 
 import hashlib
 
@@ -18,7 +18,6 @@ from incoframes import (
     random_unit_frame,
     run,
     subproblem,
-    sweep,
     unit_columns,
 )
 
@@ -27,6 +26,12 @@ def run_in(m, n, seed, sweeps=2):
     cfg = DesignConfig(m=m, n_vectors=n, sweeps=sweeps, seed=seed)
     frame, _ = run(cfg)
     return frame
+
+
+def one_sweep(frame, seed, nonneg=False):
+    """A one-sweep run from ``frame``, its order drawn from ``default_rng(seed)``."""
+    cfg = DesignConfig(m=frame.m, n_vectors=frame.n_vectors, sweeps=1, seed=seed, nonneg=nonneg)
+    return run(cfg, initial=frame)
 
 
 class TestConfigValidation:
@@ -124,18 +129,18 @@ class TestSubproblem:
 
     @pytest.mark.parametrize("nonneg", [False, True], ids=["signed", "nonneg"])
     def test_sweep_solves_the_same_problem(self, monkeypatch, nonneg):
-        cfg = DesignConfig(m=7, n_vectors=18, seed=12, nonneg=nonneg)
-        frame = initialize(cfg)
+        frame = initialize(DesignConfig(m=7, n_vectors=18, seed=12, nonneg=nonneg))
+        cfg = DesignConfig(m=7, n_vectors=18, sweeps=1, seed=3, nonneg=nonneg)
         seen = []
         solve = incoframes.design.solve_subproblem
 
-        def record(problem, **kwargs):
+        def record(problem):
             seen.append(problem)
-            return solve(problem, **kwargs)
+            return solve(problem)
 
         monkeypatch.setattr(incoframes.design, "solve_subproblem", record)
-        sweep(frame, cfg, np.random.default_rng(3))
-        first = int(np.random.default_rng(3).permutation(np.arange(0 if nonneg else 1, 18))[0])
+        run(cfg, initial=frame)
+        first = int(np.random.default_rng(cfg.seed).permutation(np.arange(0 if nonneg else 1, 18))[0])
         want = subproblem(frame, first, nonneg=nonneg)
         assert seen[0].reference.tobytes() == want.reference.tobytes()
         assert seen[0].neighbors.tobytes() == want.neighbors.tobytes()
@@ -164,53 +169,53 @@ class TestTracedNames:
 
 
 class TestSweep:
+    """Single sweeps through ``run(cfg, initial=frame)`` with ``sweeps=1``."""
+
     def test_input_frame_untouched_and_first_vector_fixed(self):
         frame = initialize(DesignConfig(m=7, n_vectors=18, seed=12))
         before = frame.vectors.copy()
-        cfg = DesignConfig(m=7, n_vectors=18, seed=12)
-        new, stats = sweep(frame, cfg, np.random.default_rng(0))
+        new, report = one_sweep(frame, seed=0)
         assert np.array_equal(frame.vectors, before)
+        assert report.best_sweep == 1  # ``new`` is the swept frame
         # Vector 0 is the anchor: a sweep may flip its sign but never moves it.
         assert abs(abs(float(new.vectors[:, 0] @ before[:, 0])) - 1.0) < 1e-12
-        assert stats.updated > 0
+        assert report.updated[0] > 0
 
     def test_every_vector_lands_in_one_bucket(self):
         frame = initialize(DesignConfig(m=6, n_vectors=16, seed=13))
-        cfg = DesignConfig(m=6, n_vectors=16, seed=13)
-        _, stats = sweep(frame, cfg, np.random.default_rng(1))
-        assert stats.updated + stats.stalled + stats.degenerate == 15
+        _, report = one_sweep(frame, seed=1)
+        assert report.updated[0] + report.stalled[0] + report.degenerate[0] == 15
 
     def test_single_sweep_does_not_increase_coherence(self):
         # Each accepted update cannot raise the peak correlation of the
         # touched column beyond the old one plus solver noise.
         frame = initialize(DesignConfig(m=8, n_vectors=20, seed=14))
-        cfg = DesignConfig(m=8, n_vectors=20, seed=14)
-        new, _ = sweep(frame, cfg, np.random.default_rng(2))
-        assert mutual_coherence(new) <= mutual_coherence(frame) + 1e-9
+        _, report = one_sweep(frame, seed=2)
+        assert report.initial_coherence == mutual_coherence(frame)
+        assert report.trace[0] <= report.initial_coherence + 1e-9
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_simplex_etf_is_tie_skipped(self, m):
-        cfg = DesignConfig(m=m, n_vectors=m + 1)
-        _, stats = sweep(make_simplex_etf(m), cfg, np.random.default_rng(0))
-        assert (stats.tie_skips, stats.updated) == (m, 0)
+        _, report = one_sweep(make_simplex_etf(m), seed=0)
+        assert (report.tie_skips[0], report.updated[0]) == (m, 0)
 
     def test_duplicate_column_counted_degenerate(self):
         v = random_unit_frame(5, 10, seed=7).vectors.copy()
         v[:, 8] = v[:, 3]
-        _, stats = sweep(Frame(v), DesignConfig(m=5, n_vectors=10), np.random.default_rng(0))
-        assert stats.degenerate == 2
+        _, report = one_sweep(Frame(v), seed=0)
+        assert report.degenerate[0] == 2
 
     def test_dimension_mismatch(self):
         frame = random_unit_frame(5, 10, seed=15)
         with pytest.raises(InvalidInput):
-            sweep(frame, DesignConfig(m=6, n_vectors=10), np.random.default_rng(0))
+            run(DesignConfig(m=6, n_vectors=10, sweeps=1), initial=frame)
 
     def test_nonneg_sweep_keeps_entries_nonneg_and_moves_vector_zero(self):
-        cfg = DesignConfig(m=6, n_vectors=18, seed=16, nonneg=True)
-        frame = initialize(cfg)
-        new, stats = sweep(frame, cfg, np.random.default_rng(3))
+        frame = initialize(DesignConfig(m=6, n_vectors=18, seed=16, nonneg=True))
+        new, report = one_sweep(frame, seed=3, nonneg=True)
+        assert report.best_sweep == 1  # ``new`` is the swept frame
         assert new.vectors.min() >= 0.0
-        assert stats.updated > 0
+        assert report.updated[0] > 0
         # No anchor in nonneg mode: vector 0 is optimized like the rest.
         assert not np.allclose(new.vectors[:, 0], frame.vectors[:, 0])
 

@@ -55,10 +55,16 @@ class TestFrameFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_extra_header_fields(self, tmp_path, frame_7x15):
+        # Header keys the reader does not know, say added by hand, load and
+        # come back with the header.
         path = tmp_path / "f.frame"
-        write_frame(path, frame_7x15, extra={"note": "abc"})
-        _, header = read_frame(path)
+        write_frame(path, frame_7x15)
+        lines = path.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "note": "abc"})
+        path.write_text("\n".join(lines) + "\n")
+        loaded, header = read_frame(path)
         assert header["note"] == "abc"
+        assert np.array_equal(loaded.vectors, frame_7x15.vectors)
 
     def test_mildly_denormalized_file_is_tolerated(self, tmp_path, frame_7x15):
         # Hand-made files may carry rounding at the last digits; anything
@@ -152,7 +158,7 @@ class TestCorrelationProfile:
         frame = random_unit_frame(6, 14, seed=9)
         path = tmp_path / "profile.csv"
         frac99, frac95 = write_correlation_profile(path, frame)
-        g = frame.gram()
+        g = frame.vectors.T @ frame.vectors
         vals = np.sort(np.abs(g[np.triu_indices(14, k=1)]))[::-1]
         assert frac99 == float((vals >= 0.99 * vals[0]).mean())
         assert 0.0 < frac99 <= frac95 <= 1.0
