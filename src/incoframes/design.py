@@ -101,19 +101,18 @@ class SweepReport:
 
 
 def _initial_matrix(cfg):
-    """Seeded start matrix, its pre-refinement coherence, and the generator
-    to keep using for sweep orders."""
+    """Seeded column-major start matrix, the coherence of the raw draw when
+    a polar refinement follows it (None in nonneg mode, where the draw is
+    the start), and the generator to keep using for sweep orders."""
     last = None
     for attempt in range(5):
         rng = np.random.default_rng(cfg.seed + attempt)
-        # Row-major, as drawn: the sweep's floating-point results depend on the layout.
-        a = np.ascontiguousarray(random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors)
+        a = random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors
         if cfg.nonneg:
-            a = np.abs(a)
-            return float(correlations(a)[1].max()), a, rng
+            return None, np.abs(a), rng
         raw_mu = float(correlations(a)[1].max())
         try:
-            a = unit_columns(unit_polar(a))
+            a = np.asfortranarray(unit_columns(unit_polar(a)))
         except RankDeficient as exc:
             last = exc
             continue
@@ -224,12 +223,12 @@ def run(cfg, initial=None):
             )
         work = np.array(initial.vectors, order="F", copy=True)
         rng = np.random.default_rng(cfg.seed)
-        raw_mu = float(correlations(work)[1].max())
+        raw_mu = None
     else:
         raw_mu, work, rng = _initial_matrix(cfg)
 
     mu = float(correlations(work)[1].max())
-    report = SweepReport(raw_coherence=raw_mu, initial_coherence=mu)
+    report = SweepReport(raw_coherence=mu if raw_mu is None else raw_mu, initial_coherence=mu)
     best = work.copy()
     best_mu = mu
     decreases = []

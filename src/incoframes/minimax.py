@@ -179,9 +179,11 @@ def solve_subproblem(problem):
     Raises
     ------
     SolverStall
-        If no certificate is reached within ``_MAX_ITER`` (100) iterations,
-        or the step search gives up first; the exception carries the best
-        iterate and its gap.
+        If the IPM stops without a certificate, because it reached
+        ``_MAX_ITER`` (100) iterations, met a non-finite normal matrix or
+        corrector direction, or failed to factor the normal matrix, and the
+        active-set polish from its best iterate fails too. The exception
+        carries that iterate and its gap.
     NumericsFailure
         If LAPACK rejects an argument, which no input data can cause.
     """
@@ -198,7 +200,6 @@ def solve_subproblem(problem):
     jac[:k, m] = -1.0
     if nonneg:
         jac[k : k + m, :m] = -np.eye(m)
-    jac_fixed = jac.copy()  # rows without the state-dependent ball gradient
     ball_row = jac[-1, :m]
     c = np.zeros(n)
     c[m] = 1.0
@@ -248,25 +249,21 @@ def solve_subproblem(problem):
     np.multiply(ball_row, 2.0, out=ball_row)
 
     def phi(r_p, r_d, gap):
-        """Line-search merit: 2-norms of both residuals plus the gap."""
+        """Step merit: 2-norms of both residuals plus the gap."""
         return math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
 
-    # Trial points form the dual residual from jac_fixed plus the ball gradient,
-    # which differs from the loop top's jac.T @ z by rounding. The tail of the
-    # damped line search tests phi_t against (1 - 1e-4*beta)*phi0 at rounding
-    # level, so one shared formula would change which steps are accepted.
     def trial():
         """Constraint values and merit at the point held in trial_state.
 
-        Its ball gradient goes straight into jac's last row: jac is not read
-        again in this iteration, and the accepted trial point is the last one
-        evaluated, so the next loop top finds the row already in place.
+        Its ball gradient goes straight into jac's last row, where the dual
+        residual below reads it: the iteration's Newton steps are done, and
+        the accepted trial point is the last one evaluated, so the next loop
+        top finds the row already in place.
         """
         g = constraints(xt)
         np.subtract(xt[:m], h, out=ball_row)
         np.multiply(ball_row, 2.0, out=ball_row)
-        r_d = c + jac_fixed.T.dot(zt)
-        r_d[:m] += zt[-1] * ball_row
+        r_d = c + jac.T.dot(zt)
         return g, phi(g + st, r_d, float(st.dot(zt)))
 
     # Per-solve work arrays; every iteration overwrites them in full.
@@ -389,25 +386,16 @@ def solve_subproblem(problem):
 
         # Centering and second-order terms may raise the raw KKT residual a
         # little; that is normal. A blow-up means the step left the region
-        # where the ball linearization is any good, so fall back to a damped
-        # pure Newton step, which is a certified descent direction for the
-        # residual: the predictor direction and step lengths, whose inputs
-        # are unchanged.
+        # where the ball linearization is any good, so take the predictor
+        # step instead, at the same fraction-to-boundary rule (its inputs
+        # are unchanged). It is not tested: a damped search on it gave up
+        # on near-tie instances, where the full step goes on to certify.
         phi0 = phi(r_p, r_d, gap)
         advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
         g_t, phi_t = trial()
         if not math.isfinite(phi_t) or phi_t > 10.0 * phi0 + _TOL:
-            a_p = min(1.0, eta * step_s)
-            a_d = min(1.0, eta * step_z)
-            beta = 1.0
-            for _ in range(40):
-                advance(beta * a_p, beta * a_d, pred)
-                g_t, phi_t = trial()
-                if math.isfinite(phi_t) and phi_t <= (1.0 - 1e-4 * beta) * phi0:
-                    break
-                beta *= 0.5
-            else:
-                break
+            advance(min(1.0, eta * step_s), min(1.0, eta * step_z), pred)
+            g_t, _ = trial()
         state[:] = trial_state
         g = g_t
 

@@ -279,9 +279,8 @@ class TestRun:
         start = run_in(6, 14, seed=21, sweeps=1)
         cfg = DesignConfig(m=6, n_vectors=14, sweeps=3, seed=21)
         _, rep = run(cfg, initial=start)
-        mu0 = mutual_coherence(start)
-        assert rep.raw_coherence == pytest.approx(mu0, abs=1e-15)
-        assert rep.initial_coherence == pytest.approx(mu0, abs=1e-15)
+        assert rep.initial_coherence == pytest.approx(mutual_coherence(start), abs=1e-15)
+        assert rep.raw_coherence == rep.initial_coherence
         with pytest.raises(InvalidInput):
             run(DesignConfig(m=7, n_vectors=14), initial=start)
 
@@ -290,30 +289,52 @@ class TestRun:
         frame, rep = run(cfg)
         assert frame.vectors.min() >= 0.0
         assert mutual_coherence(frame) < rep.initial_coherence
+        assert rep.raw_coherence == rep.initial_coherence  # no polar refinement
         assert rep.escape_sweeps == []
+
+    def test_every_sweep_works_on_a_column_major_matrix(self, monkeypatch):
+        # The sweep's bits depend on the array layout, so every start path
+        # and every escape must hand it the same one.
+        layouts = []
+        sweep = incoframes.design._sweep_inplace
+
+        def record(work, cfg, rng):
+            layouts.append(work.flags.f_contiguous)
+            return sweep(work, cfg, rng)
+
+        monkeypatch.setattr(incoframes.design, "_sweep_inplace", record)
+        _, rep = run(DesignConfig(m=6, n_vectors=12, sweeps=5, seed=19, eps_stop=0.9))
+        assert rep.escape_sweeps == [3]
+        for nonneg in (False, True):
+            cfg = DesignConfig(m=6, n_vectors=12, sweeps=2, seed=19, nonneg=nonneg)
+            run(cfg)
+            run(cfg, initial=initialize(cfg))
+        assert layouts == [True] * 13
 
 
 class TestPinnedRuns:
-    """Two short runs, each with skipped vectors, pinned to the byte.
+    """Two short runs pinned to the byte, with their skipped vectors.
 
     The digests are sha256 of ``frame.vectors.tobytes()``. A refactor of the
     solver or the sweep must reproduce them exactly; they move only in a
-    recorded fingerprint re-base (ROADMAP item 2, Stage B), which lists the
-    old and new values in CHANGES.md.
+    recorded fingerprint re-base, which lists the old and new values in
+    CHANGES.md. The signed run tie-skips one vector. The nonneg run skips
+    none: it pins that no solve stalls (the two it once skipped as stalls
+    are ``tests/data/nonneg_stalls.npz``).
     """
 
     # (config, digest, skipped vectors per sweep, why they were skipped)
     PINS = {
         "signed-15x30": (
             DesignConfig(m=15, n_vectors=30, sweeps=12, seed=101, eps_stop=1e-3),
-            "e3ea6d0c1ce5ad1f629fcbf9bdf1ee5be936d00ba167d16930c4963845a61f1a",
+            "2f85bc6e36ebd1b144d69959d6630a2ccc331c36b21d939a7dbd0c5ca8862736",
             [0, 1] + [0] * 10,
             "tie_skips",
         ),
         "nonneg-20x40": (
             DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True),
-            "0f11fd7440d1c8cf6b2eacd09c7498a369987e55d5913e12084644ae962482d1",
-            [0, 0, 1, 1, 0, 0, 0, 0],
+            "1e4c45c7196271412e6b30de5076cffb4db9a8986ac8bffde5c9524198a4d394",
+            [0] * 8,
             "solver_stalls",
         ),
     }

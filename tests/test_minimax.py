@@ -1,5 +1,6 @@
 """Trust-region minimax subproblem: solver, optimality system, stall test."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,30 +201,30 @@ class TestValidationAndFailure:
         with pytest.raises(InvalidInput):
             TrustSubproblem(h, nb, 0.5)  # 1 - 0.8^2 = 0.36 < 0.5
 
-    def test_stall_exception_carries_partial_result(self, monkeypatch):
-        # The two vectors the pinned nonneg run of tests/test_design.py skips
-        # as solver stalls (sweeps 3 and 4) stall again when solved alone.
-        stalled = []
-        solve = incoframes.design.solve_subproblem
+    def test_former_stall_instances_certify(self):
+        # The two vectors the pinned nonneg run of tests/test_design.py
+        # skipped as solver stalls (sweeps 3 and 4) while the IPM fell back
+        # to a damped line search, which gave up on both.
+        data = np.load(Path(__file__).parent / "data" / "nonneg_stalls.npz")
+        for h, nb, radius_sq in zip(data["reference"], data["neighbors"], data["radius_sq"]):
+            sol = solve_subproblem(TrustSubproblem(h, nb, float(radius_sq), nonneg=True))
+            assert sol.converged
+            assert sol.residuals.worst() <= 10.0 * incoframes.minimax._TOL
 
-        def record(problem):
-            try:
-                return solve(problem)
-            except SolverStall:
-                stalled.append(problem)
-                raise
-
-        monkeypatch.setattr(incoframes.design, "solve_subproblem", record)
-        _, report = run(DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True))
-        assert report.solver_stalls == [0, 0, 1, 1, 0, 0, 0, 0]
-        assert len(stalled) == 2
-        for prob in stalled:
-            with pytest.raises(SolverStall) as info:
-                solve_subproblem(prob)
-            partial = info.value.solution
-            assert partial is not None and not partial.converged
-            assert info.value.gap is not None and info.value.gap > 0.0
-            assert partial.gap == info.value.gap
+    @pytest.mark.parametrize("eps", [1e-4, 3e-5, 1e-5])
+    @pytest.mark.parametrize("nonneg", [False, True], ids=["signed", "nonneg"])
+    def test_near_duplicate_neighbor_certifies(self, eps, nonneg):
+        # A near-copy of vector 0 leaves it a trust region with radius_sq
+        # down to about 1e-10. Some corrector steps there blow the merit up,
+        # and only the predictor fallback carries the solve to a certificate.
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((15, 30))
+        a[:, 1] = a[:, 0] + eps * rng.standard_normal(15)
+        if nonneg:
+            a = np.abs(a)
+        sol = solve_subproblem(subproblem(Frame(unit_columns(a)), 0, nonneg=nonneg))
+        assert sol.converged
+        assert sol.residuals.worst() <= 10.0 * incoframes.minimax._TOL
 
 
 class TestFactorization:
@@ -258,8 +259,10 @@ class TestFactorization:
         monkeypatch.setattr(incoframes.minimax, "dpotrf", lambda a, **kw: factor(a))
         with pytest.raises(SolverStall) as info:
             solve_subproblem(problem)
-        assert info.value.solution is not None
-        assert not info.value.solution.converged
+        partial = info.value.solution
+        assert partial is not None and not partial.converged
+        assert info.value.gap is not None and info.value.gap > 0.0
+        assert partial.gap == info.value.gap
 
     def test_illegal_lapack_argument_raises(self, problem, monkeypatch):
         monkeypatch.setattr(incoframes.minimax, "dpotrf", lambda a, **kw: (a, -1))
