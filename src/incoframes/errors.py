@@ -18,16 +18,20 @@ class DegenerateVector(InvalidInput):
 
 
 class SolverStall(RuntimeError):
-    """Interior-point solve hit its iteration cap before certifying optimality.
+    """Interior-point solve stopped before certifying optimality.
 
-    Carries the best iterate seen so far and its duality gap so callers can
-    decide whether the partial answer is usable.
+    ``reason`` names the exit: ``"cap"`` (the iteration cap), ``"non-finite"``
+    (a non-finite normal matrix or Newton direction) or ``"factorization"``
+    (the normal matrix failed to factor). Carries the best iterate seen so
+    far and its duality gap so callers can decide whether the partial answer
+    is usable.
     """
 
-    def __init__(self, message, solution=None, gap=None):
+    def __init__(self, message, solution=None, gap=None, reason=None):
         super().__init__(message)
         self.solution = solution
         self.gap = gap
+        self.reason = reason
 
 
 class FrameFormatError(IOError):

@@ -169,7 +169,9 @@ def solve_subproblem(problem):
     """Solve a TrustSubproblem, certified to a duality gap of 1e-8.
 
     ``_TOL`` (1e-8) is the target for the gap and the primal infeasibility;
-    a returned solution keeps every KKT residual within 10 * ``_TOL``.
+    a returned solution keeps every KKT residual within 10 * ``_TOL``. The
+    solve has two exits: the interior-point loop returns a certified
+    iterate, or it stops and raises ``SolverStall``.
 
     Returns
     -------
@@ -179,11 +181,11 @@ def solve_subproblem(problem):
     Raises
     ------
     SolverStall
-        If the IPM stops without a certificate, because it reached
-        ``_MAX_ITER`` (100) iterations, met a non-finite normal matrix or
-        corrector direction, or failed to factor the normal matrix, and the
-        active-set polish from its best iterate fails too. The exception
-        carries that iterate and its gap.
+        If the IPM stops without a certificate. Its ``reason`` says why:
+        ``"cap"`` after ``_MAX_ITER`` (100) iterations, ``"non-finite"`` for
+        a non-finite normal matrix or corrector direction, and
+        ``"factorization"`` when the normal matrix fails to factor. The
+        exception carries the best iterate seen and its gap.
     NumericsFailure
         If LAPACK rejects an argument, which no input data can cause.
     """
@@ -272,11 +274,9 @@ def solve_subproblem(problem):
     d = np.empty(p)
     jac_d = np.empty((p, n))
     m_mat = np.empty((n, n))
-    # The ball Hessian and each jitter go onto the diagonal in place (a
-    # strided view of the C-ordered product); every jitter is added to the
-    # same base diagonal. dpotrf reads the lower triangle.
+    # The ball Hessian and a 1e-12 jitter go onto the diagonal in place (a
+    # strided view of the C-ordered product). dpotrf reads the lower triangle.
     diag = m_mat.reshape(-1)[:: n + 1]
-    base = np.empty(n)
     sz = np.empty(p)
     rc_s = np.empty(p)
     rhs = np.empty(p)
@@ -316,7 +316,11 @@ def solve_subproblem(problem):
 
     best = None
     best_merit = np.inf
-    certified = None
+    reason = "cap"
+    # A constant fraction to the boundary: a rule that moves it toward 1 as
+    # mu falls lets a slack shrink 1e5-fold per iteration, until its weight
+    # z/s reaches 1e22 and the normal matrix no longer factors.
+    eta = 0.995
 
     # g holds constraints(x) and jac's last row the ball gradient at x
     # throughout: each accepted trial point hands both on, so the loop top
@@ -336,31 +340,24 @@ def solve_subproblem(problem):
             # instances can pin the dual residual slightly above _TOL while the
             # gap is already many orders below it. The optimum always sits on
             # the ball boundary, so also require the ball slack inside _TOL;
-            # a gap-certified iterate with a loose boundary is kept as a
-            # fallback in case the cap runs out first.
+            # with a loose boundary the loop goes on.
             candidate = _package(problem, x, z, gap, it, True)
-            if candidate.residuals.worst() <= 9.0 * _TOL:
-                if abs(g[-1]) <= _TOL:
-                    return candidate
-                certified = candidate
+            if candidate.residuals.worst() <= 9.0 * _TOL and abs(g[-1]) <= _TOL:
+                return candidate
 
         np.divide(z, s, out=d)
         np.multiply(jac, d[:, None], out=jac_d)
         jac_d.T.dot(jac, out=m_mat)
         if not np.isfinite(m_mat).all():
+            reason = "non-finite"
             break
         diag[:m] += 2.0 * z[-1]
-        base[:] = diag
-        factor = None
-        for jitter in (1e-12, 1e-9, 1e-6):
-            np.add(base, jitter, out=diag)
-            chol, info = dpotrf(m_mat, lower=1, clean=0)
-            if info < 0:
-                raise NumericsFailure(f"dpotrf: illegal value in argument {-info}")
-            if info == 0:
-                factor = chol
-                break
-        if factor is None:
+        diag += 1e-12
+        factor, info = dpotrf(m_mat, lower=1, clean=0)
+        if info < 0:
+            raise NumericsFailure(f"dpotrf: illegal value in argument {-info}")
+        if info > 0:
+            reason = "factorization"
             break
 
         mu = gap / p
@@ -380,16 +377,16 @@ def solve_subproblem(problem):
         rp2[-1] += float(dx_a[:m].dot(dx_a[:m]))
         newton(rp2, sz + ds_a * dz_a - sigma * mu, corr_parts)
         if not np.isfinite(corr).all():
+            reason = "non-finite"
             break
-        eta = min(0.99999, max(0.995, 1.0 - 10.0 * mu))
         a_p, a_d = _step_lengths(state[n:], corr[n:], p, ratios)
 
         # Centering and second-order terms may raise the raw KKT residual a
         # little; that is normal. A blow-up means the step left the region
         # where the ball linearization is any good, so take the predictor
-        # step instead, at the same fraction-to-boundary rule (its inputs
-        # are unchanged). It is not tested: a damped search on it gave up
-        # on near-tie instances, where the full step goes on to certify.
+        # step instead, at the same fraction to the boundary. It is not
+        # tested: a damped search on it gave up on near-tie instances, where
+        # the full step goes on to certify.
         phi0 = phi(r_p, r_d, gap)
         advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
         g_t, phi_t = trial()
@@ -401,134 +398,13 @@ def solve_subproblem(problem):
 
     best_state, bgap = best
     bx, _, bz = split(best_state)
-    polished = _polish(problem, bx, bz, it + 1)
-    if polished is not None:
-        return polished
-    if certified is not None:
-        # The objective was certified but the boundary never tightened
-        # within the cap; the certificate still stands.
-        return certified
     partial = _package(problem, bx, bz, bgap, it + 1, False)
     raise SolverStall(
-        f"no certificate after {it + 1} iterations (gap {bgap:.3e}, tol {_TOL:.1e})",
+        f"no certificate after {it + 1} iterations ({reason}; gap {bgap:.3e}, tol {_TOL:.1e})",
         solution=partial,
         gap=bgap,
+        reason=reason,
     )
-
-
-def _polish(problem, x, z, iterations):
-    """Active-set Newton cleanup from a near-converged interior iterate.
-
-    The condensed step equations square the conditioning of the constraint
-    Jacobian, which on hard instances floors the reachable residual a shade
-    above tol. Solving the optimality system restricted to the active set
-    has no such squaring, so a few Newton steps from the interior iterate
-    reach machine accuracy whenever the active-set guess is right. Returns
-    None when the guess cannot be validated.
-    """
-    m, k = problem.m, problem.k
-    h = problem.reference
-    nb = problem.neighbors
-    big_t = problem.radius_sq
-    nonneg = problem.nonneg
-
-    f = x[:m].copy()
-    t = float(x[m])
-    w = max(float(z[-1]), 1e-12)
-    lam_full = np.maximum(z[:k].copy(), 0.0)
-    nu_full = np.maximum(z[k : k + m].copy(), 0.0) if nonneg else np.zeros(m)
-
-    # Guess activity by comparing each multiplier against its slack; the
-    # products are tiny near the optimum so the split is unambiguous.
-    g_lin = nb.T @ f - t
-    act = lam_full >= -g_lin
-    if not act.any():
-        act[int(np.argmax(g_lin))] = True
-    act_b = (nu_full >= f) if nonneg else np.zeros(m, dtype=bool)
-
-    for _ in range(4):
-        a_idx = np.flatnonzero(act)
-        b_idx = np.flatnonzero(act_b)
-        na = nb[:, a_idx]
-        a, b = a_idx.size, b_idx.size
-        lam = lam_full[a_idx].copy()
-        nu = nu_full[b_idx].copy()
-        dim = m + 1 + a + b + 1
-        b_rows = m + 1 + a + np.arange(b)  # rows and columns of the bound multipliers
-
-        res_inf = np.inf
-        for _ in range(25):
-            r1 = na @ lam + 2.0 * w * (f - h)
-            r1[b_idx] -= nu
-            r5 = float(f @ f - 2.0 * (f @ h) + 1.0 - big_t)
-            res = np.concatenate([r1, [1.0 - lam.sum()], na.T @ f - t, f[b_idx], [r5]])
-            res_inf = float(np.abs(res).max())
-            if res_inf <= 1e-14:
-                break
-            # A wrong active-set guess can send Newton off to infinity;
-            # give up on this polish rather than chase it.
-            if not np.isfinite(res_inf) or res_inf > 1e8:
-                return None
-            jmat = np.zeros((dim, dim))
-            jmat[:m, :m] = (2.0 * w) * np.eye(m)
-            jmat[:m, m + 1 : m + 1 + a] = na
-            jmat[b_idx, b_rows] = -1.0
-            jmat[:m, -1] = 2.0 * (f - h)
-            jmat[m, m + 1 : m + 1 + a] = -1.0
-            jmat[m + 1 : m + 1 + a, :m] = na.T
-            jmat[m + 1 : m + 1 + a, m] = -1.0
-            jmat[b_rows, b_idx] = 1.0
-            jmat[-1, :m] = 2.0 * (f - h)
-            try:
-                du = np.linalg.lstsq(jmat, -res, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                return None
-            f = f + du[:m]
-            t = t + float(du[m])
-            lam = lam + du[m + 1 : m + 1 + a]
-            nu = nu + du[m + 1 + a : m + 1 + a + b]
-            w = w + float(du[-1])
-        if res_inf > 1e-12 or w < 0.0:
-            return None
-
-        # Wrong-sign multipliers mean a plane was guessed active that is
-        # not; violated inactive planes mean the opposite. Fix the set and
-        # run Newton again, a few rounds at most.
-        lam_full[:] = 0.0
-        lam_full[a_idx] = lam
-        nu_full[:] = 0.0
-        nu_full[b_idx] = nu  # b_idx is empty in signed mode
-        if lam.size and float(lam.min()) < -1e-9:
-            act[a_idx[int(np.argmin(lam))]] = False
-            lam_full = np.maximum(lam_full, 0.0)
-            continue
-        if nu.size and float(nu.min()) < -1e-9:
-            act_b[b_idx[int(np.argmin(nu))]] = False
-            nu_full = np.maximum(nu_full, 0.0)
-            continue
-        g_lin = nb.T @ f - t
-        if (~act).any() and float(g_lin[~act].max()) > 1e-10:
-            act[int(np.argmax(np.where(act, -np.inf, g_lin)))] = True
-            continue
-        if nonneg and (~act_b).any() and float(f[~act_b].min()) < -1e-10:
-            act_b[int(np.argmin(np.where(act_b, np.inf, f)))] = True
-            continue
-
-        p = k + (m if nonneg else 0) + 1
-        z_full = np.zeros(p)
-        z_full[:k] = np.maximum(lam_full, 0.0)
-        if nonneg:
-            z_full[k : k + m] = np.maximum(nu_full, 0.0)
-        z_full[-1] = w
-        g_ball = float(f @ f - 2.0 * (f @ h) + 1.0 - big_t)
-        gap = float(np.abs(g_lin * z_full[:k]).sum()) + abs(g_ball) * w
-        if nonneg:
-            gap += float(np.abs(f * z_full[k : k + m]).sum())
-        sol = _package(problem, np.concatenate([f, [t]]), z_full, gap, iterations, True)
-        if sol.residuals.worst() <= 9.0 * _TOL and abs(g_ball) <= _TOL:
-            return sol
-        return None
-    return None
 
 
 def _package(problem, x, z, gap, iterations, converged):

@@ -318,22 +318,23 @@ class TestPinnedRuns:
     The digests are sha256 of ``frame.vectors.tobytes()``. A refactor of the
     solver or the sweep must reproduce them exactly; they move only in a
     recorded fingerprint re-base, which lists the old and new values in
-    CHANGES.md. The signed run tie-skips one vector. The nonneg run skips
-    none: it pins that no solve stalls (the two it once skipped as stalls
-    are ``tests/data/nonneg_stalls.npz``).
+    CHANGES.md. Neither run skips a vector, so both pin that no solve
+    stalls (the two the nonneg run once skipped as stalls are
+    ``tests/data/nonneg_stalls.npz``). The tie gate is covered by
+    ``test_simplex_etf_is_tie_skipped``.
     """
 
     # (config, digest, skipped vectors per sweep, why they were skipped)
     PINS = {
         "signed-15x30": (
             DesignConfig(m=15, n_vectors=30, sweeps=12, seed=101, eps_stop=1e-3),
-            "2f85bc6e36ebd1b144d69959d6630a2ccc331c36b21d939a7dbd0c5ca8862736",
-            [0, 1] + [0] * 10,
+            "3f97c663fb4d3d408b2a6f9b199956af615bcbb01784aa117dba6eda6ca5a7c3",
+            [0] * 12,
             "tie_skips",
         ),
         "nonneg-20x40": (
             DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True),
-            "1e4c45c7196271412e6b30de5076cffb4db9a8986ac8bffde5c9524198a4d394",
+            "a2d13eff78967f33df7446569e57639775fa9402a3e6beb0307d0b0578126ccc",
             [0] * 8,
             "solver_stalls",
         ),
