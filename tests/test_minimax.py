@@ -1,4 +1,5 @@
 """Trust-region minimax subproblem: solver, optimality system, stall test."""
+import hashlib
 import math
 from pathlib import Path
 
@@ -36,10 +37,11 @@ def subproblem_for(frame, i, max_neighbors=None):
     return prob
 
 
-def harvested_frames(m, n, seed):
+def harvested_frames(m, n, seed, nonneg=False):
     """Frames two sweeps into a real design run: realistic solver inputs."""
-    start = initialize(DesignConfig(m=m, n_vectors=n, seed=seed))
-    return run(DesignConfig(m=m, n_vectors=n, sweeps=2, seed=seed + 1000), initial=start)[0]
+    start = initialize(DesignConfig(m=m, n_vectors=n, seed=seed, nonneg=nonneg))
+    cfg = DesignConfig(m=m, n_vectors=n, sweeps=2, seed=seed + 1000, nonneg=nonneg)
+    return run(cfg, initial=start)[0]
 
 
 def brute_force_circle(problem, grid=1e-3):
@@ -308,6 +310,44 @@ class TestFactorization:
             sol = solve_subproblem(subproblem_for(frame, i))
             assert counts["factored"] == sol.iterations > 0
             assert counts["solved"] <= 2 * sol.iterations
+
+
+class TestPinnedSolves:
+    """Every solve on two harvested frames pinned to the byte.
+
+    Each digest is sha256 over the solutions of all of a frame's vector
+    subproblems, in vector order: ``f``, ``t``, ``lam``, ``lam_ball``,
+    ``bound_lam`` (nonneg only), ``gap`` and ``iterations``. A refactor of
+    the solver must reproduce them exactly; they move only in a recorded
+    fingerprint re-base, as the ``TestPinnedRuns`` frame digests do, which
+    do not see the multipliers or the iteration counts.
+    """
+
+    # (m, N, harvest seed, nonneg, digest)
+    PINS = {
+        "signed-15x30": (
+            15, 30, 1, False,
+            "9fd77a879ace75cbf039483218a0686f9e79dcb708fd96fc24d5d9c167bd5efa",
+        ),
+        "nonneg-20x40": (
+            20, 40, 2, True,
+            "48039ba7083e5cb8c282f665b875369a145cd30d2ff318f1925e9d61febf7ec9",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_solution_bytes(self, name):
+        m, n, seed, nonneg, digest = self.PINS[name]
+        frame = harvested_frames(m, n, seed, nonneg=nonneg)
+        sha = hashlib.sha256()
+        for i in range(n):
+            sol = solve_subproblem(subproblem(frame, i, nonneg=nonneg))
+            assert sol.converged
+            parts = (sol.f, sol.t, sol.lam, sol.lam_ball, sol.bound_lam, sol.gap, sol.iterations)
+            for part in parts:
+                if part is not None:
+                    sha.update(np.asarray(part).tobytes())
+        assert sha.hexdigest() == digest
 
 
 def max_step_reference(v, dv):
