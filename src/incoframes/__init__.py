@@ -23,12 +23,9 @@ from .errors import (
     SolverStall,
 )
 from .frameio import (
-    environment_fingerprint,
     extract_patches,
     load_patch_matrix,
     read_frame,
-    read_image,
-    read_pgm,
     write_correlation_profile,
     write_cs_table,
     write_error_trace,
@@ -89,7 +86,6 @@ __all__ = [
     "TrustSubproblem",
     "adapt_dictionary",
     "certify_etf",
-    "environment_fingerprint",
     "extract_patches",
     "frame_metrics",
     "initialize",
@@ -103,8 +99,6 @@ __all__ = [
     "random_sensing_frame",
     "random_unit_frame",
     "read_frame",
-    "read_image",
-    "read_pgm",
     "run",
     "run_cs_experiment",
     "solve_subproblem",

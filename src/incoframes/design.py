@@ -81,9 +81,9 @@ class SweepReport:
     steps.
 
     Each sweep's visited vectors are counted once in ``updated``,
-    ``tie_skips`` (the tie gate held), ``solver_stalls`` (no usable step)
-    or ``degenerate`` (a duplicated vector). ``stalled`` is ``tie_skips +
-    solver_stalls``.
+    ``tie_skips`` (the tie gate held), ``solver_stalls`` (the solve raised
+    ``SolverStall``) or ``degenerate`` (a duplicated vector). ``stalled``
+    is ``tie_skips + solver_stalls``.
     """
 
     raw_coherence: float
@@ -190,11 +190,7 @@ def _sweep_inplace(work, cfg, rng):
             counts["solver_stalls"] += 1
             continue
         f = np.maximum(sol.f, 0.0) if cfg.nonneg else sol.f
-        norm = float(np.linalg.norm(f))
-        if norm <= 1e-12:
-            counts["solver_stalls"] += 1
-            continue
-        work[:, i] = f / norm
+        work[:, i] = f / np.linalg.norm(f)
         counts["updated"] += 1
     return counts
 

@@ -22,9 +22,10 @@ class SolverStall(RuntimeError):
 
     ``reason`` names the exit: ``"cap"`` (the iteration cap), ``"non-finite"``
     (a non-finite normal matrix or Newton direction) or ``"factorization"``
-    (the normal matrix failed to factor). Carries the best iterate seen so
-    far and its duality gap so callers can decide whether the partial answer
-    is usable.
+    (the normal matrix failed to factor). Carries the lowest-merit iterate
+    seen (merit: the 2-norms of the primal and dual residuals plus the
+    duality gap) and its duality gap, so callers can decide whether the
+    partial answer is usable.
     """
 
     def __init__(self, message, solution=None, gap=None, reason=None):

@@ -185,7 +185,7 @@ def solve_subproblem(problem):
         ``"cap"`` after ``_MAX_ITER`` (100) iterations, ``"non-finite"`` for
         a non-finite normal matrix or corrector direction, and
         ``"factorization"`` when the normal matrix fails to factor. The
-        exception carries the best iterate seen and its gap.
+        exception carries the iterate of lowest merit seen and its gap.
     NumericsFailure
         If LAPACK rejects an argument, which no input data can cause.
     """
@@ -220,8 +220,9 @@ def solve_subproblem(problem):
 
     # The iterate (x, s, z) is one array and each Newton direction (dx, ds,
     # dz) another of the same layout, so a step is one multiply-add and the
-    # trailing 2p entries take one ratio test. Trial points fill a second
-    # state array, copied in when accepted; the views below stay valid.
+    # trailing 2p entries take one ratio test. Trial points, the start among
+    # them, fill a second state array, copied in when accepted; the views
+    # below stay valid.
     def split(v):
         return v[:n], v[n : n + p], v[n + p :]
 
@@ -234,43 +235,9 @@ def solve_subproblem(problem):
     pred_parts = split(pred)
     corr_parts = split(corr)
 
-    # Strictly interior start: shrink toward the center, lift t above all
-    # planes. Slacks and multipliers follow each row's natural scale; the
-    # ball row scales with the radius (its multiplier sits near 1/(2 sqrt T)
-    # at the optimum), so tiny trust regions must not be floored at 1e-2.
-    x[:m] = (1.0 - 0.5 * math.sqrt(big_t)) * h
-    x[m] = float((nb.T @ x[:m]).max()) + 1.0
-    g = constraints(x)
-    np.maximum(-g, 1e-2, out=s)
-    s[-1] = max(-g[-1], 1e-2 * big_t)
-    z[:k] = 1.0 / k
-    if nonneg:
-        z[k : k + m] = 0.5
-    z[-1] = 0.5 / math.sqrt(big_t)
-    np.subtract(x[:m], h, out=ball_row)
-    np.multiply(ball_row, 2.0, out=ball_row)
-
-    def phi(r_p, r_d, gap):
-        """Step merit: 2-norms of both residuals plus the gap."""
-        return math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
-
-    def trial():
-        """Constraint values and merit at the point held in trial_state.
-
-        Its ball gradient goes straight into jac's last row, where the dual
-        residual below reads it: the iteration's Newton steps are done, and
-        the accepted trial point is the last one evaluated, so the next loop
-        top finds the row already in place.
-        """
-        g = constraints(xt)
-        np.subtract(xt[:m], h, out=ball_row)
-        np.multiply(ball_row, 2.0, out=ball_row)
-        r_d = c + jac.T.dot(zt)
-        return g, phi(g + st, r_d, float(st.dot(zt)))
-
     # Per-solve work arrays; every iteration overwrites them in full.
-    res = np.empty(p + n)
-    r_p, r_d = res[:p], res[p:]
+    r_p = np.empty(p)
+    r_d = np.empty(n)
     d = np.empty(p)
     jac_d = np.empty((p, n))
     m_mat = np.empty((n, n))
@@ -283,6 +250,38 @@ def solve_subproblem(problem):
     rp2 = np.empty(p)
     steps = np.empty(n + 2 * p)
     ratios = np.empty(2 * p)
+
+    def evaluate():
+        """Constraint values, gap and merit at the point held in trial_state.
+
+        Also writes the point's ball gradient into jac's last row and its
+        primal and dual residuals into r_p and r_d. The merit is the 2-norms
+        of both residuals plus the gap.
+        """
+        g = constraints(xt)
+        np.subtract(xt[:m], h, out=ball_row)
+        np.multiply(ball_row, 2.0, out=ball_row)
+        np.add(g, st, out=r_p)
+        jac.T.dot(zt, out=r_d)
+        np.add(c, r_d, out=r_d)
+        gap = float(st.dot(zt))
+        return g, gap, math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
+
+    # Strictly interior start: shrink toward the center, lift t above all
+    # planes. Slacks and multipliers follow each row's natural scale; the
+    # ball row scales with the radius (its multiplier sits near 1/(2 sqrt T)
+    # at the optimum), so tiny trust regions must not be floored at 1e-2.
+    xt[:m] = (1.0 - 0.5 * math.sqrt(big_t)) * h
+    xt[m] = float((nb.T @ xt[:m]).max()) + 1.0
+    g = constraints(xt)
+    np.maximum(-g, 1e-2, out=st)
+    st[-1] = max(-g[-1], 1e-2 * big_t)
+    zt[:k] = 1.0 / k
+    if nonneg:
+        zt[k : k + m] = 0.5
+    zt[-1] = 0.5 / math.sqrt(big_t)
+    g, gap, phi = evaluate()
+    state[:] = trial_state
 
     def newton(rp, rc, out):
         """Write the direction (dx, ds, dz) for primal residual rp and
@@ -315,24 +314,18 @@ def solve_subproblem(problem):
         np.add(state, trial_state, out=trial_state)
 
     best = None
-    best_merit = np.inf
+    best_phi = np.inf
     reason = "cap"
     # A constant fraction to the boundary: a rule that moves it toward 1 as
     # mu falls lets a slack shrink 1e5-fold per iteration, until its weight
     # z/s reaches 1e22 and the normal matrix no longer factors.
     eta = 0.995
 
-    # g holds constraints(x) and jac's last row the ball gradient at x
-    # throughout: each accepted trial point hands both on, so the loop top
-    # evaluates neither.
+    # g, gap, phi, r_p, r_d and jac's last row all belong to the point in
+    # state: it is the last point evaluated.
     for it in range(_MAX_ITER):
-        np.add(g, s, out=r_p)
-        jac.T.dot(z, out=r_d)
-        np.add(c, r_d, out=r_d)
-        gap = float(s.dot(z))
-        merit = max(gap, float(np.maximum.reduce(np.abs(res))))
-        if merit < best_merit:
-            best_merit = merit
+        if phi < best_phi:
+            best_phi = phi
             best = (state.copy(), gap)
         if gap <= _TOL and float(np.abs(r_p).max()) <= _TOL:
             # Objective certified by the gap; accept once the full optimality
@@ -387,14 +380,13 @@ def solve_subproblem(problem):
         # step instead, at the same fraction to the boundary. It is not
         # tested: a damped search on it gave up on near-tie instances, where
         # the full step goes on to certify.
-        phi0 = phi(r_p, r_d, gap)
+        phi0 = phi
         advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
-        g_t, phi_t = trial()
-        if not math.isfinite(phi_t) or phi_t > 10.0 * phi0 + _TOL:
+        g, gap, phi = evaluate()
+        if not math.isfinite(phi) or phi > 10.0 * phi0 + _TOL:
             advance(min(1.0, eta * step_s), min(1.0, eta * step_z), pred)
-            g_t, _ = trial()
+            g, gap, phi = evaluate()
         state[:] = trial_state
-        g = g_t
 
     best_state, bgap = best
     bx, _, bz = split(best_state)

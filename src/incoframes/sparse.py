@@ -104,7 +104,6 @@ class CsResult:
     mean_error: float
     quantiles: dict
     support_rate: float
-    degenerate: bool
     errors: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -144,18 +143,6 @@ def run_cs_experiment(experiment, sensing, keep_errors=True):
     n, m_atoms, s = experiment.n_signal, experiment.n_atoms, experiment.sparsity
     f_mat = sensing.vectors
 
-    if s == 0:
-        errs = np.zeros(experiment.trials)
-        return CsResult(
-            experiment=experiment,
-            sensing_coherence=mutual_coherence(sensing),
-            mean_error=0.0,
-            quantiles={"q25": 0.0, "q50": 0.0, "q75": 0.0},
-            support_rate=1.0,
-            degenerate=True,
-            errors=errs if keep_errors else None,
-        )
-
     children = np.random.SeedSequence(experiment.seed).spawn(experiment.trials)
     errors = np.empty(experiment.trials)
     exact = 0
@@ -184,7 +171,6 @@ def run_cs_experiment(experiment, sensing, keep_errors=True):
         mean_error=float(errors.mean()),
         quantiles={"q25": float(q25), "q50": float(q50), "q75": float(q75)},
         support_rate=exact / experiment.trials,
-        degenerate=False,
         errors=errors if keep_errors else None,
     )
 

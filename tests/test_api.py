@@ -29,7 +29,6 @@ PUBLIC = [
     "__version__",
     "adapt_dictionary",
     "certify_etf",
-    "environment_fingerprint",
     "extract_patches",
     "frame_metrics",
     "initialize",
@@ -43,8 +42,6 @@ PUBLIC = [
     "random_sensing_frame",
     "random_unit_frame",
     "read_frame",
-    "read_image",
-    "read_pgm",
     "run",
     "run_cs_experiment",
     "solve_subproblem",
@@ -70,7 +67,7 @@ def test_all_names_resolve_once():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 48
     assert sorted(incoframes.__all__) == PUBLIC
 
 

@@ -17,8 +17,6 @@ from incoframes import (
     mutual_coherence,
     random_unit_frame,
     read_frame,
-    read_image,
-    read_pgm,
     run,
     run_cs_experiment,
     CsExperiment,
@@ -30,6 +28,7 @@ from incoframes import (
     write_line_chart,
     write_manifest,
 )
+from incoframes.frameio import read_image, read_pgm
 
 
 @pytest.fixture()

@@ -249,6 +249,51 @@ class TestValidationAndFailure:
         assert sol.residuals.worst() <= 10.0 * incoframes.minimax._TOL
 
 
+class TestHardInstances:
+    """A seeded family of hard instances (numpy seeds, so reruns repeat).
+
+    Every subproblem of every frame must certify within 10 * _TOL or raise
+    ``SolverStall``; nothing else may escape.
+    """
+
+    @staticmethod
+    def certify_or_stall(frame, nonneg=False):
+        for i in range(frame.n_vectors):
+            problem = subproblem(frame, i, nonneg=nonneg)
+            try:
+                sol = solve_subproblem(problem)
+            except SolverStall:
+                continue
+            assert sol.converged
+            assert sol.residuals.worst() <= 10.0 * incoframes.minimax._TOL
+
+    def test_two_dimensions_one_neighbor(self):
+        for seed in range(60):
+            a = unit_columns(np.random.default_rng(seed).standard_normal((2, 2)))
+            self.certify_or_stall(Frame(a))
+            self.certify_or_stall(Frame(np.abs(a)), nonneg=True)
+
+    def test_nonneg_with_exact_zeros(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            for m, n in ((6, 12), (10, 20), (15, 30)):
+                a = np.abs(rng.standard_normal((m, n)))
+                a[rng.random((m, n)) < 0.4] = 0.0
+                # One positive entry per column keeps every column nonzero.
+                a[rng.integers(m, size=n), np.arange(n)] = 1.0 + rng.random(n)
+                assert (a == 0.0).any()
+                self.certify_or_stall(Frame(unit_columns(a)), nonneg=True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_15x120_random_and_after_3_sweeps(self, seed):
+        # 119 neighbors around 16 unknowns.
+        rng = np.random.default_rng(seed)
+        start = Frame(unit_columns(rng.standard_normal((15, 120))))
+        self.certify_or_stall(start)
+        cfg = DesignConfig(m=15, n_vectors=120, sweeps=3, seed=seed)
+        self.certify_or_stall(run(cfg, initial=start)[0])
+
+
 class TestFactorization:
     """The Cholesky kernel: one factorization per iteration, and the
     ``SolverStall`` or error each exit real workloads never reach ends in."""
