@@ -137,11 +137,12 @@ def kkt_residuals(problem, solution):
     lam_ball = float(solution.lam_ball)
     nu = solution.bound_lam
     nu = np.asarray(nu, dtype=float) if (nonneg and nu is not None) else np.zeros_like(f)
-    stat_f = nb @ lam - nu + 2.0 * lam_ball * (f - h)
+    fh = f - h
+    stat_f = nb @ lam - nu + 2.0 * lam_ball * fh
     stat = max(float(np.abs(stat_f).max()), abs(1.0 - float(lam.sum())))
 
     g_lin = nb.T @ f - t
-    g_ball = float(f @ f - 2.0 * (f @ h) + 1.0 - problem.radius_sq)
+    g_ball = float(fh @ fh - problem.radius_sq)
     comp = float(np.abs(lam * g_lin).max())
     comp = max(comp, abs(lam_ball * g_ball))
     primal = max(0.0, float(g_lin.max()), g_ball)
@@ -203,20 +204,6 @@ def solve_subproblem(problem):
     if nonneg:
         jac[k : k + m, :m] = -np.eye(m)
     ball_row = jac[-1, :m]
-    c = np.zeros(n)
-    c[m] = 1.0
-
-    # Products inside the iteration use ndarray.dot: it calls the same BLAS
-    # routine as @ (ddot, dgemv or dgemm) on the same operands, so every
-    # result keeps its bits, at about half of @'s dispatch cost.
-    def constraints(x):
-        f, t = x[:m], x[m]
-        g = np.empty(p)
-        g[:k] = nb.T.dot(f) - t
-        if nonneg:
-            g[k : k + m] = -f
-        g[-1] = f.dot(f) - 2.0 * f.dot(h) + 1.0 - big_t
-        return g
 
     # The iterate (x, s, z) is one array and each Newton direction (dx, ds,
     # dz) another of the same layout, so a step is one multiply-add and the
@@ -227,7 +214,7 @@ def solve_subproblem(problem):
         return v[:n], v[n : n + p], v[n + p :]
 
     state = np.empty(n + 2 * p)
-    trial_state = np.empty(n + 2 * p)
+    trial_state = np.zeros(n + 2 * p)
     pred = np.empty(n + 2 * p)
     corr = np.empty(n + 2 * p)
     x, s, z = split(state)
@@ -236,36 +223,43 @@ def solve_subproblem(problem):
     corr_parts = split(corr)
 
     # Per-solve work arrays; every iteration overwrites them in full.
+    g = np.empty(p)
     r_p = np.empty(p)
     r_d = np.empty(n)
     d = np.empty(p)
     jac_d = np.empty((p, n))
     m_mat = np.empty((n, n))
-    # The ball Hessian and a 1e-12 jitter go onto the diagonal in place (a
-    # strided view of the C-ordered product). dpotrf reads the lower triangle.
+    # One add of shift puts the ball Hessian and a 1e-12 jitter on the
+    # diagonal, a strided view of the C-ordered product (dpotrf reads its lower triangle).
     diag = m_mat.reshape(-1)[:: n + 1]
+    shift = np.full(n, 1e-12)
     sz = np.empty(p)
+    target = np.empty(p)
     rc_s = np.empty(p)
     rhs = np.empty(p)
     rp2 = np.empty(p)
     steps = np.empty(n + 2 * p)
     ratios = np.empty(2 * p)
 
-    def evaluate():
-        """Constraint values, gap and merit at the point held in trial_state.
-
-        Also writes the point's ball gradient into jac's last row and its
-        primal and dual residuals into r_p and r_d. The merit is the 2-norms
-        of both residuals plus the gap.
-        """
-        g = constraints(xt)
-        np.subtract(xt[:m], h, out=ball_row)
-        np.multiply(ball_row, 2.0, out=ball_row)
+    # Products inside the iteration use ndarray.dot: it calls the same BLAS
+    # routine as @ (ddot, dgemv or dgemm) at about half of @'s dispatch cost.
+    def merit():
+        """r_p, the gap and the merit (both residuals' 2-norms plus the gap) at trial_state."""
         np.add(g, st, out=r_p)
-        jac.T.dot(zt, out=r_d)
-        np.add(c, r_d, out=r_d)
         gap = float(st.dot(zt))
-        return g, gap, math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
+        return gap, math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
+
+    def evaluate():
+        """g, the ball gradient in jac's last row and r_d at trial_state, then merit()."""
+        # One product with jac's linear rows gives every plane and bound
+        # value: a bound row's -1 and zeros give -f exactly.
+        jac[:-1].dot(xt, out=g[:-1])
+        np.subtract(xt[:m], h, out=ball_row)
+        g[-1] = ball_row.dot(ball_row) - big_t
+        np.multiply(ball_row, 2.0, out=ball_row)
+        jac.T.dot(zt, out=r_d)
+        r_d[m] += 1.0
+        return merit()
 
     # Strictly interior start: shrink toward the center, lift t above all
     # planes. Slacks and multipliers follow each row's natural scale; the
@@ -273,14 +267,14 @@ def solve_subproblem(problem):
     # at the optimum), so tiny trust regions must not be floored at 1e-2.
     xt[:m] = (1.0 - 0.5 * math.sqrt(big_t)) * h
     xt[m] = float((nb.T @ xt[:m]).max()) + 1.0
-    g = constraints(xt)
-    np.maximum(-g, 1e-2, out=st)
-    st[-1] = max(-g[-1], 1e-2 * big_t)
     zt[:k] = 1.0 / k
     if nonneg:
         zt[k : k + m] = 0.5
     zt[-1] = 0.5 / math.sqrt(big_t)
-    g, gap, phi = evaluate()
+    evaluate()  # slacks still zero: only g, a function of x, is used
+    np.maximum(-g, 1e-2, out=st)
+    st[-1] = max(-g[-1], 1e-2 * big_t)
+    gap, phi = merit()
     state[:] = trial_state
 
     def newton(rp, rc, out):
@@ -289,22 +283,20 @@ def solve_subproblem(problem):
         dx, ds, dz = out
         np.divide(rc, s, out=rc_s)
         np.multiply(d, rp, out=rhs)
-        np.subtract(rhs, rc_s, out=rhs)
+        np.subtract(rc_s, rhs, out=rhs)
         jac.T.dot(rhs, out=dx)
-        np.add(r_d, dx, out=dx)
-        np.negative(dx, out=dx)
+        np.subtract(dx, r_d, out=dx)
         sol, info = dpotrs(factor, dx, lower=1, overwrite_b=1)
         if info < 0:
             raise NumericsFailure(f"dpotrs: illegal value in argument {-info}")
         dx[...] = sol  # overwrite_b permits an in-place solve but does not promise one
-        jac.dot(dx, out=dz)
-        np.add(dz, rp, out=dz)
-        np.multiply(d, dz, out=dz)
+        # ds = -(rp + J dx) from the linearized constraints, and
+        # dz = D (J dx + rp) - rc / s from the complementarity row.
+        jac.dot(dx, out=ds)
+        np.add(ds, rp, out=ds)
+        np.multiply(d, ds, out=dz)
         np.subtract(dz, rc_s, out=dz)
-        np.multiply(s, dz, out=ds)
-        np.add(rc, ds, out=ds)
         np.negative(ds, out=ds)
-        np.divide(ds, z, out=ds)
 
     def advance(a_p, a_d, direction):
         """trial_state = state + (a_p on x and s, a_d on z) * direction."""
@@ -341,11 +333,13 @@ def solve_subproblem(problem):
         np.divide(z, s, out=d)
         np.multiply(jac, d[:, None], out=jac_d)
         jac_d.T.dot(jac, out=m_mat)
-        if not np.isfinite(m_mat).all():
+        # With d >= 0, a NaN or inf in any term d_i J_ij J_il of J^T D J also
+        # reaches a diagonal term d_i J_ij^2: the diagonal shows it alone.
+        if not np.isfinite(diag).all():
             reason = "non-finite"
             break
-        diag[:m] += 2.0 * z[-1]
-        diag += 1e-12
+        shift[:m] = 2.0 * z[-1] + 1e-12
+        np.add(diag, shift, out=diag)
         factor, info = dpotrf(m_mat, lower=1, clean=0)
         if info < 0:
             raise NumericsFailure(f"dpotrf: illegal value in argument {-info}")
@@ -354,21 +348,27 @@ def solve_subproblem(problem):
             break
 
         mu = gap / p
-        # Predictor: pure Newton step toward complementarity zero.
+        # Predictor: pure Newton step toward complementarity zero. The gap it
+        # would reach, (s + a_s ds).(z + a_z dz), is expanded into three dots,
+        # so no trial point is formed.
         np.multiply(s, z, out=sz)
         newton(r_p, sz, pred_parts)
         dx_a, ds_a, dz_a = pred_parts
         step_s, step_z = _step_lengths(state[n:], pred[n:], p, ratios)
-        advance(min(1.0, step_s), min(1.0, step_z), pred)
-        mu_aff = float(st.dot(zt)) / p
+        a_s, a_z = min(1.0, step_s), min(1.0, step_z)
+        gap_aff = gap + a_z * float(s.dot(dz_a)) + a_s * float(ds_a.dot(z))
+        mu_aff = (gap_aff + a_s * a_z * float(ds_a.dot(dz_a))) / p
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0.0 else 0.0
 
         # Corrector: complementarity second-order term plus recentring, and
         # the exact quadratic term of the ball row (its linearization error
         # is exactly ||df||^2), reusing the same factorization.
-        rp2[:] = r_p
+        np.copyto(rp2, r_p)
         rp2[-1] += float(dx_a[:m].dot(dx_a[:m]))
-        newton(rp2, sz + ds_a * dz_a - sigma * mu, corr_parts)
+        np.multiply(ds_a, dz_a, out=target)
+        np.add(sz, target, out=target)
+        np.subtract(target, sigma * mu, out=target)
+        newton(rp2, target, corr_parts)
         if not np.isfinite(corr).all():
             reason = "non-finite"
             break
@@ -382,10 +382,10 @@ def solve_subproblem(problem):
         # the full step goes on to certify.
         phi0 = phi
         advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
-        g, gap, phi = evaluate()
+        gap, phi = evaluate()
         if not math.isfinite(phi) or phi > 10.0 * phi0 + _TOL:
             advance(min(1.0, eta * step_s), min(1.0, eta * step_z), pred)
-            g, gap, phi = evaluate()
+            gap, phi = evaluate()
         state[:] = trial_state
 
     best_state, bgap = best

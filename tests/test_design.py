@@ -328,13 +328,13 @@ class TestPinnedRuns:
     PINS = {
         "signed-15x30": (
             DesignConfig(m=15, n_vectors=30, sweeps=12, seed=101, eps_stop=1e-3),
-            "3f97c663fb4d3d408b2a6f9b199956af615bcbb01784aa117dba6eda6ca5a7c3",
+            "940c39be2dd3188568f2db2d1f728fd5aa76efc784d22763f310316c7815deff",
             [0] * 12,
             "tie_skips",
         ),
         "nonneg-20x40": (
             DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True),
-            "a2d13eff78967f33df7446569e57639775fa9402a3e6beb0307d0b0578126ccc",
+            "9ba5d7080febc059060b0f09f7ebc00a9c2657a937ce7b463bd5ff8dcc69a4aa",
             [0] * 8,
             "solver_stalls",
         ),

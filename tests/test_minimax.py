@@ -356,9 +356,48 @@ class TestFactorization:
             assert counts["factored"] == sol.iterations > 0
             assert counts["solved"] <= 2 * sol.iterations
 
+    def test_dispatches_per_iteration(self, frame, monkeypatch):
+        """numpy and LAPACK calls per IPM iteration stay under a ceiling.
+
+        A proxy in place of the module's ``np`` counts each call of a numpy
+        function or ufunc, ufunc methods such as ``maximum.reduce``
+        included, and dpotrf and dpotrs are wrapped. The proxy does not see
+        ndarray methods (``dot``, ``all``, ``copy``, ``fill``) or indexing,
+        so the count is a floor on what an iteration dispatches. Each
+        solve's set-up and packaging calls are spread over its iterations.
+        The kernel makes 43.5 such calls per iteration on this frame; the
+        ceiling leaves about 6% of room above that.
+        """
+        problems = [subproblem_for(frame, i) for i in range(1, frame.n_vectors)]
+        calls = 0
+
+        class Counted:
+            def __init__(self, target):
+                self.target = target
+
+            def __call__(self, *args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return self.target(*args, **kwargs)
+
+            def __getattr__(self, name):
+                attr = getattr(self.target, name)
+                return Counted(attr) if callable(attr) else attr
+
+        class NumpyProxy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                return Counted(attr) if callable(attr) and not isinstance(attr, type) else attr
+
+        monkeypatch.setattr(incoframes.minimax, "np", NumpyProxy())
+        monkeypatch.setattr(incoframes.minimax, "dpotrf", Counted(incoframes.minimax.dpotrf))
+        monkeypatch.setattr(incoframes.minimax, "dpotrs", Counted(incoframes.minimax.dpotrs))
+        iterations = sum(solve_subproblem(problem).iterations for problem in problems)
+        assert calls / iterations <= 46.0
+
 
 class TestPinnedSolves:
-    """Every solve on two harvested frames pinned to the byte.
+    """Every solve on three harvested frames pinned to the byte.
 
     Each digest is sha256 over the solutions of all of a frame's vector
     subproblems, in vector order: ``f``, ``t``, ``lam``, ``lam_ball``,
@@ -372,11 +411,17 @@ class TestPinnedSolves:
     PINS = {
         "signed-15x30": (
             15, 30, 1, False,
-            "9fd77a879ace75cbf039483218a0686f9e79dcb708fd96fc24d5d9c167bd5efa",
+            "127c8c9fa6967899e5efd11c156a8841c3cb4ff00f699ebfe0fea9b1aab639c5",
         ),
         "nonneg-20x40": (
             20, 40, 2, True,
-            "48039ba7083e5cb8c282f665b875369a145cd30d2ff318f1925e9d61febf7ec9",
+            "043abcd1fe8efcb8fcfb346b823591e332746fe0316f4d15191b4a85cfc40c92",
+        ),
+        # p = 128 rows around n = 65 unknowns: the normal-matrix kernel at
+        # the size where its products, not dispatch, carry the cost.
+        "signed-64x128": (
+            64, 128, 3, False,
+            "d709cb88bb2561cea736f8717f5aa00bbbfbb3f7f17c5b784dace241a409c9a8",
         ),
     }
 
