@@ -348,3 +348,126 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "incoframes" in proc.stdout
+
+
+class TestPinnedOutputs:
+    """Every file a small CLI battery writes, pinned to the byte.
+
+    The battery covers signed design over two seeds with escape steps,
+    nonneg design, design from a config file, analyze with ``--csv``,
+    cs-bench with a designed and a random source, and adapt on synthetic
+    data and on image patches. Each digest is sha256 of the file bytes. A
+    manifest must be exactly its own ``json.dumps(..., indent=2,
+    sort_keys=True)`` text, and its digest is taken of that text with
+    ``wall_seconds`` and ``environment`` removed, the two fields that vary
+    between runs. ``stdout`` hashes everything the battery prints, with the
+    output root and design wall times masked. A refactor of the I/O layer
+    must reproduce every digest.
+    """
+
+    PINS = {
+        "adapt-images/frame_m4_n8_seed0_nonneg_adapt_trace.csv":
+            "f09ff0b929baf19fec805b3d0a541c574c6473c8b06e63a1e74ffd8a714f8d9e",
+        "adapt-images/frame_m4_n8_seed0_nonneg_adapted.frame":
+            "8ae7db42c64b581ff4233ebbee4b7cc0586b30700a96581b790b2b859b0c9fc8",
+        "adapt/frame_m5_n10_seed1_adapt_trace.csv":
+            "92fdcf52a467413a16e3b32e946902dc4177d1b023afd28036fafc685170ee37",
+        "adapt/frame_m5_n10_seed1_adapted.frame":
+            "7337ba26a0dab88566ba32cfab46b30564ff4ed027e404cbf5af9ca15875c102",
+        "config/frame_m4_n8_seed3.frame":
+            "0f1db7c06d86dfa98cf7c8f37f8d4f83e04ba9878afe03abd425f6ee748ead9b",
+        "config/frame_m4_n8_seed4.frame":
+            "122bf6a157890e8732f303fe3c73f252c97e280701133fbadbc0d52a9e30620b",
+        "config/manifest_m4_n8_seed3.json":
+            "117c7c11ee1b0d0e24c38989878c34d0a72a401de2cba6bbc49177868222f2cb",
+        "config/manifest_m4_n8_seed4.json":
+            "49f2a0c833c6f1326f2f8bea0e46f883d9b8998f72ac5f8a567b19ba7c2e32a8",
+        "cs/cs_bench.csv":
+            "a53d336b776b0a06204382fca509f0a0460f91a24c8bf0ce4f1220a45ef570df",
+        "cs/cs_bench.svg":
+            "d4e89e1225279cfd445b19d1c5df4ecbf965fb069de8959124993cba2a6d1c14",
+        "cs/sensing_m6_n16.frame":
+            "5d2dd89ac3c45309a7bdeeb01616cf7ccea9843ebad399c213f0a14236571d61",
+        "cs/sensing_m8_n16.frame":
+            "1c8c9aed1c856796e6901a461e152a0f8954d6c9c23447da346fe51299c4ea56",
+        "design/frame_m5_n10_seed1.frame":
+            "44383b3fd8a7426cd1fe492c605abb547e9fc907da6ce464d0c3cf04c74e57de",
+        "design/frame_m5_n10_seed2.frame":
+            "95c4b104cce891442c3d07a952ed4153fda336417a2c6737d2ed639c1986b55a",
+        "design/manifest_m5_n10_seed1.json":
+            "5e86437c3ab03a1258a6bf04d507a940cfb7ee1f1c9be8e11538e6d051983ecb",
+        "design/manifest_m5_n10_seed2.json":
+            "3530a23a83765c0db5785d221c832fef91056851828190638b29da8bef9fd8b4",
+        "nonneg/frame_m4_n8_seed0_nonneg.frame":
+            "bf3174e2b214481cefca83db8fcb5a9b40ecf2d1eb1e09472978242a2fd3940d",
+        "nonneg/manifest_m4_n8_seed0_nonneg.json":
+            "cfecbbfb95138cf7d33612c8b2a91372a4819407180f106b3c9f840e7124b643",
+        "profile.csv":
+            "c5b44afeaf2f815380fe3e0e14607042c872902936a6e215c247303554507b60",
+        "stdout":
+            "6a76da35c454659a8592f4814937b9aeffc7aa7ed1f9529cfac49aa601c7e1bc",
+    }
+
+    @staticmethod
+    def battery(root):
+        imgs = root / "imgs"
+        imgs.mkdir()
+        pixels = (np.random.default_rng(4).uniform(size=(6, 6)) * 255).astype(int)
+        rows = "\n".join(" ".join(str(v) for v in row) for row in pixels)
+        (imgs / "x.pgm").write_text(f"P2\n6 6\n255\n{rows}\n")
+        (root / "design.cfg").write_text(
+            "m = 4\nN = 8\nK = 2\nseeds = 3..4\neps-stop = 1e-3\nnonneg = no\n"
+        )
+        out = root / "out"
+        signed = str(out / "design" / "frame_m5_n10_seed1.frame")
+        nonneg = str(out / "nonneg" / "frame_m4_n8_seed0_nonneg.frame")
+        return [
+            ["design", "--m", "5", "--N", "10", "--K", "20", "--seeds", "1,2",
+             "--eps-stop", "1e-3", "--out", str(out / "design")],
+            ["design", "--m", "4", "--N", "8", "--K", "3", "--nonneg",
+             "--out", str(out / "nonneg")],
+            ["design", "--config", str(root / "design.cfg"), "--out", str(out / "config")],
+            ["analyze", signed, "--csv", str(out / "profile.csv")],
+            ["cs-bench", "--N", "16", "--M", "24", "--sparsity", "2", "--m-list", "6,8",
+             "--trials", "5", "--seed", "1", "--design-sweeps", "3",
+             "--sources", "designed-fresh,random-gaussian", "--out", str(out / "cs")],
+            ["adapt", "--frame", signed, "--synthetic", "--sparsity", "2",
+             "--iterations", "3", "--samples", "30", "--seed", "5",
+             "--out", str(out / "adapt")],
+            ["adapt", "--frame", nonneg, "--images", str(imgs), "--sparsity", "2",
+             "--iterations", "2", "--out", str(out / "adapt-images")],
+        ]
+
+    @pytest.fixture(scope="class")
+    def digests(self, tmp_path_factory):
+        import contextlib
+        import hashlib
+        import io
+        import re
+
+        root = tmp_path_factory.mktemp("pinned")
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            for argv in self.battery(root):
+                assert main(argv) == 0, argv
+        out = root / "out"
+        found = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                doc = json.loads(data)
+                assert data.decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                del doc["wall_seconds"], doc["environment"]
+                data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+            found[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+        text = re.sub(r", \d+\.\ds\)$", ", -s)", printed.getvalue(), flags=re.M)
+        text = text.replace(str(root), "<root>")
+        found["stdout"] = hashlib.sha256(text.encode()).hexdigest()
+        return found
+
+    def test_same_files(self, digests):
+        assert sorted(digests) == sorted(self.PINS)
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_bytes(self, digests, name):
+        assert digests[name] == self.PINS[name]
