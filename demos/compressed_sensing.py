@@ -33,8 +33,8 @@ for m in m_values:
     exp = CsExperiment(
         n_signal=n_signal, n_atoms=n_atoms, sparsity=sparsity, trials=trials, seed=0
     )
-    res_d = run_cs_experiment(exp, designed, keep_errors=False)
-    res_r = run_cs_experiment(exp, baseline, keep_errors=False)
+    res_d = run_cs_experiment(exp, designed)
+    res_r = run_cs_experiment(exp, baseline)
     rows += [(m, "designed-fresh", res_d), (m, "random-gaussian", res_r)]
     series["designed"].append(res_d.mean_error)
     series["random"].append(res_r.mean_error)

@@ -46,19 +46,15 @@ _SOURCES = ("designed-fresh", "random-gaussian", "frame-file")
 
 def _parse_seeds(text):
     """Seed list syntax: '7', '1..10', or '1,4,9'."""
-    text = text.strip()
+    if ".." not in text:
+        return _parse_list(text, int)
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise InvalidInput(f"empty seed range {text!r}")
-            return list(range(lo, hi + 1))
-        if "," in text:
-            return _parse_list(text, int)
-        return [int(text)]
+        lo, hi = (int(part) for part in text.split("..", 1))
     except ValueError as exc:
         raise InvalidInput(f"bad seed list {text!r}: {exc}") from exc
+    if hi < lo:
+        raise InvalidInput(f"empty seed range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _parse_list(text, item=str.strip):
@@ -168,15 +164,13 @@ def _sensing_for(source, m, args):
         cfg = DesignConfig(m=m, n_vectors=args.N, sweeps=args.design_sweeps, seed=args.seed)
         frame, _ = run(cfg)
         return frame
-    if source == "frame-file":
-        frame, _ = read_frame(args.frame_file)
-        if frame.m != m or frame.n_vectors != args.N:
-            raise InvalidInput(
-                f"{args.frame_file} is {frame.m}x{frame.n_vectors}, "
-                f"benchmark wants {m}x{args.N}"
-            )
-        return frame
-    raise InvalidInput(f"unknown sensing source {source!r} (choose from {_SOURCES})")
+    # "frame-file": _cmd_cs_bench admits no other source.
+    frame, _ = read_frame(args.frame_file)
+    if frame.m != m or frame.n_vectors != args.N:
+        raise InvalidInput(
+            f"{args.frame_file} is {frame.m}x{frame.n_vectors}, benchmark wants {m}x{args.N}"
+        )
+    return frame
 
 
 def _cmd_cs_bench(args):
@@ -206,7 +200,7 @@ def _cmd_cs_bench(args):
             sensing = _sensing_for(source, m, args)
             if source == "designed-fresh":
                 write_frame(out / f"sensing_m{m}_n{args.N}.frame", sensing, seed=args.seed)
-            res = run_cs_experiment(experiment, sensing, keep_errors=False)
+            res = run_cs_experiment(experiment, sensing)
             results.append((m, source, res))
             print(
                 f"m={m:3d} source={source:15s} sensing_mu={res.sensing_coherence:.4f} "
@@ -233,8 +227,8 @@ def _cmd_cs_bench(args):
 
 def _cmd_adapt(args):
     frame, _ = read_frame(args.frame)
-    if args.images is None and not args.synthetic:
-        raise InvalidInput("adapt needs --images DIR or --synthetic")
+    if (args.images is not None) == args.synthetic:
+        raise InvalidInput("adapt needs exactly one of --images DIR and --synthetic")
     if args.images is not None:
         patch = int(round(frame.m**0.5))
         if patch * patch != frame.m:
@@ -282,7 +276,6 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"incoframes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     p = sub.add_parser("design", help="optimize an incoherent frame")
     p.add_argument("--m", type=int, help="rows (signal dimension)")
@@ -294,14 +287,12 @@ def _build_parser():
     p.add_argument("--out", type=str, default=".", help="output directory")
     p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_design)
-    subparsers["design"] = p
 
     p = sub.add_parser("analyze", help="metrics and correlation profile of a frame file")
     p.add_argument("frame", type=str, help="frame file to analyze")
     p.add_argument("--csv", type=str, help="correlation profile output path")
     p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_analyze)
-    subparsers["analyze"] = p
 
     p = sub.add_parser("cs-bench", help="compressed-sensing recovery benchmark")
     p.add_argument("--N", type=int, default=80, help="signal dimension")
@@ -321,7 +312,6 @@ def _build_parser():
     p.add_argument("--out", type=str, default=".", help="output directory")
     p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_cs_bench)
-    subparsers["cs-bench"] = p
 
     p = sub.add_parser("adapt", help="rotate a frame to fit data, preserving coherence")
     p.add_argument("--frame", type=str, help="frame file to adapt")
@@ -335,18 +325,8 @@ def _build_parser():
     p.add_argument("--out", type=str, default=".", help="output directory")
     p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_adapt)
-    subparsers["adapt"] = p
 
-    return parser, subparsers
-
-
-def _config_path_from(argv):
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+    return parser, sub.choices
 
 
 def _apply_config_defaults(subparser, path):
@@ -366,31 +346,27 @@ def _apply_config_defaults(subparser, path):
     for action in subparser._actions:
         if action.dest in values:
             raw = values.pop(action.dest)
-            if action.const is True and action.nargs == 0:  # store_true flag
-                parsed = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                try:
-                    parsed = action.type(raw)
-                except ValueError as exc:
-                    raise InvalidInput(
-                        f"{path}: bad value for {action.dest}: {raw!r}"
-                    ) from exc
-            else:
-                parsed = raw
+            try:
+                if action.const is True and action.nargs == 0:  # store_true flag
+                    parsed = {"1": True, "true": True, "yes": True, "on": True,
+                              "0": False, "false": False, "no": False, "off": False}[raw.lower()]
+                else:
+                    parsed = (action.type or str)(raw)
+            except (KeyError, ValueError) as exc:
+                raise InvalidInput(f"{path}: bad value for {action.dest}: {raw!r}") from exc
             subparser.set_defaults(**{action.dest: parsed})
     if values:
         raise InvalidInput(f"{path}: unknown config keys {sorted(values)}")
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        command = next((tok for tok in argv if not tok.startswith("-")), None)
-        config_path = _config_path_from(argv)
-        if command in subparsers and config_path:
-            _apply_config_defaults(subparsers[command], config_path)
         args = parser.parse_args(argv)
+        if args.config:
+            # File values become the subcommand's defaults; explicit flags still win.
+            _apply_config_defaults(subparsers[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.handler(args)
     except DegenerateVector as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,10 @@ the file byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -120,45 +122,29 @@ def read_frame(path):
 
 
 def write_manifest(path, cfg, report, wall_seconds):
-    """JSON record of a design run: config echo, trace, metrics, environment."""
-    fm = report.final_metrics
-    doc = {
-        "creator": f"incoframes {_version}",
-        "config": {
-            "m": cfg.m,
-            "n_vectors": cfg.n_vectors,
-            "sweeps": cfg.sweeps,
-            "seed": cfg.seed,
-            "eps_stop": cfg.eps_stop,
-            "radius_slack": _RADIUS_SLACK,
-            "solver_tol": _TOL,
-            "nonneg": cfg.nonneg,
-            "escape_enabled": not cfg.nonneg,
-        },
-        "raw_coherence": report.raw_coherence,
-        "initial_coherence": report.initial_coherence,
-        "trace": list(report.trace),
-        "escape_sweeps": list(report.escape_sweeps),
-        "escape_coherence": list(report.escape_coherence),
-        "updated": list(report.updated),
-        "tie_skips": list(report.tie_skips),
-        "solver_stalls": list(report.solver_stalls),
-        "stalled": list(report.stalled),
-        "degenerate": list(report.degenerate),
-        "best_sweep": report.best_sweep,
-        "wall_seconds": wall_seconds,
-        "final_metrics": None
-        if fm is None
-        else {
-            "mu": fm.mu,
-            "mu_avg": fm.mu_avg,
-            "frame_potential": fm.frame_potential,
-            "welch": fm.welch,
-            "sparsity_cap": fm.sparsity_cap,
-        },
-        "environment": environment_fingerprint(),
+    """JSON record of a design run: every ``SweepReport`` field, a config echo
+    that adds the fixed design constants, the wall time and the environment."""
+    doc = dataclasses.asdict(report)
+    doc["config"] = dataclasses.asdict(cfg) | {
+        "radius_slack": _RADIUS_SLACK,
+        "solver_tol": _TOL,
+        "escape_enabled": not cfg.nonneg,
     }
+    doc["creator"] = f"incoframes {_version}"
+    doc["wall_seconds"] = wall_seconds
+    doc["environment"] = environment_fingerprint()
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_csv(path, comments, header, rows):
+    """Write one ``# `` line per comment, then the header and rows as CSV."""
+    buf = io.StringIO()
+    for comment in comments:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def write_correlation_profile(path, frame):
@@ -173,71 +159,38 @@ def write_correlation_profile(path, frame):
     frac95 = float((vals >= 0.95 * mu).mean()) if mu > 0.0 else 0.0
     mu_avg = float(off.mean())
     welch = welch_bound(frame.m, frame.n_vectors)
-    buf = io.StringIO()
-    buf.write(f"# m={frame.m},n_vectors={frame.n_vectors}\n")
-    buf.write(f"# mu={mu!r},mu_avg={mu_avg!r},welch={welch!r}\n")
-    buf.write(f"# frac_above_099mu={frac99!r},frac_above_095mu={frac95!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "abs_correlation"])
-    for rank, v in enumerate(vals, start=1):
-        writer.writerow([rank, repr(float(v))])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    comments = [
+        f"m={frame.m},n_vectors={frame.n_vectors}",
+        f"mu={mu!r},mu_avg={mu_avg!r},welch={welch!r}",
+        f"frac_above_099mu={frac99!r},frac_above_095mu={frac95!r}",
+    ]
+    rows = ((rank, repr(float(v))) for rank, v in enumerate(vals, start=1))
+    _write_csv(path, comments, ["rank", "abs_correlation"], rows)
     return frac99, frac95
 
 
 def write_cs_table(path, results):
     """CSV of the recovery benchmark: one row per (m, source) with config echo."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "m",
-            "source",
-            "sensing_coherence",
-            "mean_error",
-            "q25",
-            "q50",
-            "q75",
-            "support_rate",
-            "trials",
-            "n_signal",
-            "n_atoms",
-            "sparsity",
-            "seed",
-        ]
-    )
+    header = [
+        "m", "source", "sensing_coherence", "mean_error", "q25", "q50", "q75",
+        "support_rate", "trials", "n_signal", "n_atoms", "sparsity", "seed",
+    ]
+    rows = []
     for m, source, res in results:
-        e = res.experiment
-        writer.writerow(
-            [
-                m,
-                source,
-                repr(res.sensing_coherence),
-                repr(res.mean_error),
-                repr(res.quantiles["q25"]),
-                repr(res.quantiles["q50"]),
-                repr(res.quantiles["q75"]),
-                repr(res.support_rate),
-                e.trials,
-                e.n_signal,
-                e.n_atoms,
-                e.sparsity,
-                e.seed,
-            ]
+        q, e = res.quantiles, res.experiment
+        stats = (res.sensing_coherence, res.mean_error, q["q25"], q["q50"], q["q75"])
+        rows.append(
+            [m, source, *map(repr, stats), repr(res.support_rate)]
+            + [e.trials, e.n_signal, e.n_atoms, e.sparsity, e.seed]
         )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(path, [], header, rows)
 
 
 def write_error_trace(path, trace, context=None):
     """CSV of a per-iteration relative-error trace."""
-    buf = io.StringIO()
-    if context:
-        buf.write("# " + ",".join(f"{k}={v}" for k, v in sorted(context.items())) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "relative_error"])
-    for it, err in enumerate(trace):
-        writer.writerow([it, repr(float(err))])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    comments = [",".join(f"{k}={v}" for k, v in sorted(context.items()))] if context else []
+    rows = ((it, repr(float(err))) for it, err in enumerate(trace))
+    _write_csv(path, comments, ["iteration", "relative_error"], rows)
 
 
 def write_line_chart(path, series, xlabel, ylabel, title):
@@ -253,7 +206,6 @@ def write_line_chart(path, series, xlabel, ylabel, title):
     if not xs_all or not ys_all:
         raise InvalidInput("cannot plot empty series")
     logy = all(y > 0.0 for y in ys_all)
-    import math
 
     def ty(v):
         return math.log10(v) if logy else v
@@ -332,7 +284,10 @@ def write_line_chart(path, series, xlabel, ylabel, title):
 
 
 def read_pgm(path):
-    """Read a PGM image (P2 ascii or P5 binary) into floats in [0, 1]."""
+    """Read a PGM image (P2 ascii or P5 binary) into floats in [0, 1].
+
+    A sample outside [0, maxval] raises FrameFormatError.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -377,6 +332,8 @@ def read_pgm(path):
         raise FrameFormatError(
             f"{path}: expected {width * height} pixels, found {vals.size}"
         )
+    if not 0.0 <= vals.min() <= vals.max() <= maxval:
+        raise FrameFormatError(f"{path}: samples outside [0, {maxval}]")
     return vals.reshape(height, width) / maxval
 
 

@@ -104,14 +104,14 @@ class CsResult:
     mean_error: float
     quantiles: dict
     support_rate: float
-    errors: np.ndarray | None = field(default=None, repr=False)
+    errors: np.ndarray = field(repr=False)
 
 
 # The benchmark baseline: a column-normalized Gaussian sensing frame.
 random_sensing_frame = random_unit_frame
 
 
-def run_cs_experiment(experiment, sensing, keep_errors=True):
+def run_cs_experiment(experiment, sensing):
     """Measure sparse recovery through a sensing frame.
 
     Each trial draws a fresh column-normalized Gaussian dictionary D of shape
@@ -126,8 +126,6 @@ def run_cs_experiment(experiment, sensing, keep_errors=True):
     experiment : CsExperiment
     sensing : Frame
         Sensing frame with ``n_vectors == experiment.n_signal``.
-    keep_errors : bool
-        Retain the per-trial relative errors on the result.
 
     Returns
     -------
@@ -171,7 +169,7 @@ def run_cs_experiment(experiment, sensing, keep_errors=True):
         mean_error=float(errors.mean()),
         quantiles={"q25": float(q25), "q50": float(q50), "q75": float(q75)},
         support_rate=exact / experiment.trials,
-        errors=errors if keep_errors else None,
+        errors=errors,
     )
 
 

@@ -280,8 +280,8 @@ def test_criterion_10_cs_benchmark():
         exp = CsExperiment(
             n_signal=n_signal, n_atoms=n_atoms, sparsity=s, trials=trials, seed=0
         )
-        err_designed = run_cs_experiment(exp, designed, keep_errors=False).mean_error
-        err_random = run_cs_experiment(exp, random_frame, keep_errors=False).mean_error
+        err_designed = run_cs_experiment(exp, designed).mean_error
+        err_random = run_cs_experiment(exp, random_frame).mean_error
         gaps[m] = (err_designed, err_random)
     elapsed = time.perf_counter() - started
     ok = all(d < r for d, r in gaps.values()) and elapsed <= 600

@@ -265,6 +265,18 @@ class TestAdapt:
         )
         assert code == 2
 
+    def test_one_data_source_only(self, small_frame_file, tmp_path):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        (img_dir / "x.pgm").write_text("P2\n4 4\n255\n" + " ".join(map(str, range(16))) + "\n")
+        out = tmp_path / "out"
+        code = run_cli(
+            "adapt", "--frame", str(small_frame_file), "--images", str(img_dir),
+            "--synthetic", "--sparsity", "2", "--iterations", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_images_need_square_dimension(self, tmp_path):
         from incoframes import DesignConfig, run as design_run
 
@@ -305,6 +317,31 @@ class TestConfigFile:
         code = run_cli("design", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 0
         assert (tmp_path / "frame_m4_n8_seed0_nonneg.frame").exists()
+
+    @pytest.mark.parametrize("spelling", ["0", "False", "NO", "off"])
+    def test_false_spellings(self, tmp_path, spelling):
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(f"m = 4\nN = 8\nK = 1\nnonneg = {spelling}\n")
+        code = run_cli("design", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "frame_m4_n8_seed0.frame").exists()
+
+    def test_bad_boolean(self, tmp_path):
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text("m = 4\nN = 8\nK = 1\nnonneg = maybe\n")
+        out = tmp_path / "out"
+        assert run_cli("design", "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_repeated_config_last_wins(self, tmp_path):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("m = 4\nN = 8\nK = 1\n")
+        last.write_text("m = 5\nN = 10\nK = 1\n")
+        code = run_cli(
+            "design", "--config", str(first), "--config", str(last), "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert [p.name for p in tmp_path.glob("frame_*")] == ["frame_m5_n10_seed0.frame"]
 
     # radius_slack and solver_tol are fixed design constants, not config keys.
     @pytest.mark.parametrize("line", ["what = 1", "radius_slack = 1e-4", "solver-tol = 1e-8"])

@@ -257,8 +257,14 @@ class TestPgm:
             b"P2\n2 2\n255\n1 2 3\n",
             b"P5 2 2 70000\n" + bytes(8),
             b"P5 2 2 255\n" + bytes(2),
+            b"P2\n2 2\n10\n1 2 3 20\n",
+            b"P5 2 2 10\n" + bytes([1, 2, 3, 20]),
+            b"P2\n2 2\n255\n1 2 -3 4\n",
         ],
-        ids=["wrong-magic", "short-data", "maxval-range", "truncated"],
+        ids=[
+            "wrong-magic", "short-data", "maxval-range", "truncated",
+            "p2-above-maxval", "p5-above-maxval", "p2-negative",
+        ],
     )
     def test_bad_pgm_rejected(self, tmp_path, blob):
         path = tmp_path / "img.pgm"

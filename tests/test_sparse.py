@@ -126,6 +126,8 @@ class TestCsExperiment:
         assert np.array_equal(r1.errors, r2.errors)
         assert r1.mean_error == r2.mean_error
         assert r1.support_rate == r2.support_rate
+        assert set(r1.quantiles) == {"q25", "q50", "q75"}
+        assert r1.quantiles["q25"] <= r1.quantiles["q50"] <= r1.quantiles["q75"]
 
     def test_zero_sparsity_degenerate(self):
         exp = CsExperiment(n_signal=20, n_atoms=30, sparsity=0, trials=15, seed=1)
@@ -150,13 +152,6 @@ class TestCsExperiment:
             run_cs_experiment(exp, random_sensing_frame(8, 19, seed=0))
         with pytest.raises(InvalidInput):
             run_cs_experiment(exp, np.eye(8))
-
-    def test_errors_can_be_dropped(self):
-        exp = CsExperiment(n_signal=20, n_atoms=30, sparsity=2, trials=10, seed=2)
-        res = run_cs_experiment(exp, random_sensing_frame(8, 20, seed=5), keep_errors=False)
-        assert res.errors is None
-        assert set(res.quantiles) == {"q25", "q50", "q75"}
-        assert res.quantiles["q25"] <= res.quantiles["q50"] <= res.quantiles["q75"]
 
 
 class TestAdaptation:
