@@ -16,11 +16,9 @@ import numpy as np
 from ._version import __version__
 from .design import DesignConfig, run
 from .errors import (
-    DegenerateVector,
     FrameFormatError,
     InvalidInput,
     NumericsFailure,
-    SolverStall,
 )
 from .frames import certify_etf, frame_metrics, mutual_coherence, welch_bound
 from .frameio import (
@@ -226,6 +224,7 @@ def _cmd_cs_bench(args):
 
 
 def _cmd_adapt(args):
+    _require(args, ["frame"])
     frame, _ = read_frame(args.frame)
     if (args.images is not None) == args.synthetic:
         raise InvalidInput("adapt needs exactly one of --images DIR and --synthetic")
@@ -240,9 +239,10 @@ def _cmd_adapt(args):
         data, _, _ = make_planted_dataset(
             frame, args.sparsity, args.samples, args.noise, args.seed
         )
+    # Reject bad settings before the output directory is created.
+    result = adapt_dictionary(data, frame, args.sparsity, args.iterations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = adapt_dictionary(data, frame, args.sparsity, args.iterations)
     mu_before = mutual_coherence(frame)
     mu_after = mutual_coherence(result.adapted)
     stem = Path(args.frame).stem
@@ -315,7 +315,7 @@ def _build_parser():
 
     p = sub.add_parser("adapt", help="rotate a frame to fit data, preserving coherence")
     p.add_argument("--frame", type=str, help="frame file to adapt")
-    p.add_argument("--images", type=str, help="directory of PGM/PNG images")
+    p.add_argument("--images", type=str, help="directory of PGM images")
     p.add_argument("--synthetic", action="store_true", help="planted-rotation data")
     p.add_argument("--sparsity", type=int, default=4, help="nonzeros per sample")
     p.add_argument("--iterations", type=int, default=50, help="rotation rounds")
@@ -344,7 +344,8 @@ def _apply_config_defaults(subparser, path):
         key, val = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = val
     for action in subparser._actions:
-        if action.dest in values:
+        # --help and --config itself are not settings: their keys stay unknown.
+        if action.dest in values and action.dest not in ("help", "config"):
             raw = values.pop(action.dest)
             try:
                 if action.const is True and action.nargs == 0:  # store_true flag
@@ -368,19 +369,12 @@ def main(argv=None):
             _apply_config_defaults(subparsers[args.command], args.config)
             args = parser.parse_args(argv)
         return args.handler(args)
-    except DegenerateVector as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsFailure, SolverStall) as exc:
+    except NumericsFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except (FrameFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

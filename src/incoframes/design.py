@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVector, InvalidInput, RankDeficient, SolverStall
+from .errors import DegenerateVector, InvalidInput, SolverStall
 from .frames import (
     Frame,
     FrameMetrics,
@@ -104,20 +104,13 @@ def _initial_matrix(cfg):
     """Seeded column-major start matrix, the coherence of the raw draw when
     a polar refinement follows it (None in nonneg mode, where the draw is
     the start), and the generator to keep using for sweep orders."""
-    last = None
-    for attempt in range(5):
-        rng = np.random.default_rng(cfg.seed + attempt)
-        a = random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors
-        if cfg.nonneg:
-            return None, np.abs(a), rng
-        raw_mu = float(correlations(a)[1].max())
-        try:
-            a = np.asfortranarray(unit_columns(unit_polar(a)))
-        except RankDeficient as exc:
-            last = exc
-            continue
-        return raw_mu, a, rng
-    raise RankDeficient(f"frame initialization failed after 5 reseeds: {last}")
+    rng = np.random.default_rng(cfg.seed)
+    a = random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors
+    if cfg.nonneg:
+        return None, np.abs(a), rng
+    raw_mu = float(correlations(a)[1].max())
+    a = np.asfortranarray(unit_columns(unit_polar(a)))
+    return raw_mu, a, rng
 
 
 def initialize(cfg):

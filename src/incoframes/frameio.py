@@ -199,6 +199,8 @@ def write_line_chart(path, series, xlabel, ylabel, title):
     ``series`` is a list of (label, xs, ys) triples sharing the x axis. The y
     axis switches to log10 when every value is positive.
     """
+    from xml.sax.saxutils import escape  # pulls in urllib.request: only charts pay for it
+
     width, height = 640, 420
     lpad, rpad, tpad, bpad = 70, 20, 40, 50
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -231,20 +233,20 @@ def write_line_chart(path, series, xlabel, ylabel, title):
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
         f'<line x1="{lpad}" y1="{tpad}" x2="{lpad}" y2="{height - bpad}" stroke="black"/>',
         f'<line x1="{lpad}" y1="{height - bpad}" x2="{width - rpad}" '
         f'y2="{height - bpad}" stroke="black"/>',
         f'<text x="{(lpad + width - rpad) / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
+        f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>',
         f'<text x="18" y="{(tpad + height - bpad) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {(tpad + height - bpad) / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 18 {(tpad + height - bpad) / 2:.1f})">{escape(ylabel)}</text>',
     ]
     for x in sorted(set(xs_all)):
         parts.append(
             f'<text x="{px(x):.1f}" y="{height - bpad + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{x:g}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(format(x, "g"))}</text>'
         )
         parts.append(
             f'<line x1="{px(x):.1f}" y1="{height - bpad}" x2="{px(x):.1f}" '
@@ -257,7 +259,7 @@ def write_line_chart(path, series, xlabel, ylabel, title):
         label = f"1e{yv:.1f}" if logy else f"{yv:.3g}"
         parts.append(
             f'<text x="{lpad - 8}" y="{ypix + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
         )
         parts.append(
             f'<line x1="{lpad - 4}" y1="{ypix:.1f}" x2="{lpad}" y2="{ypix:.1f}" stroke="black"/>'
@@ -277,7 +279,7 @@ def write_line_chart(path, series, xlabel, ylabel, title):
         )
         parts.append(
             f'<text x="{width - rpad - 100}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{escape(label)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
@@ -337,24 +339,6 @@ def read_pgm(path):
     return vals.reshape(height, width) / maxval
 
 
-def read_image(path):
-    """Read a grayscale image: PGM natively, PNG via Pillow when available."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".pgm":
-        return read_pgm(path)
-    if suffix == ".png":
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise FrameFormatError("PNG support requires the Pillow package") from exc
-        try:
-            with Image.open(path) as img:
-                return np.asarray(img.convert("L"), dtype=float) / 255.0
-        except OSError as exc:
-            raise FrameFormatError(f"cannot read image {path}: {exc}") from exc
-    raise FrameFormatError(f"unsupported image type: {path}")
-
-
 def extract_patches(image, patch=8):
     """Non-overlapping patch columns: mean-removed, unit-normalized.
 
@@ -382,11 +366,11 @@ def extract_patches(image, patch=8):
 
 
 def load_patch_matrix(directory, patch=8):
-    """Patch columns from every PGM/PNG image in a directory, name-sorted."""
+    """Patch columns from every PGM image in a directory, name-sorted."""
     paths = sorted(
-        p for p in Path(directory).iterdir() if p.suffix.lower() in (".pgm", ".png")
+        p for p in Path(directory).iterdir() if p.suffix.lower() == ".pgm"
     )
     if not paths:
-        raise FrameFormatError(f"no PGM or PNG images in {directory}")
-    mats = [extract_patches(read_image(p), patch=patch) for p in paths]
+        raise FrameFormatError(f"no PGM images in {directory}")
+    mats = [extract_patches(read_pgm(p), patch=patch) for p in paths]
     return np.concatenate(mats, axis=1)

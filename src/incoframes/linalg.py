@@ -52,8 +52,6 @@ def svd(a):
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise NumericsFailure(f"SVD did not converge: {exc}") from exc
-    if not (np.isfinite(u).all() and np.isfinite(s).all() and np.isfinite(vh).all()):
-        raise NumericsFailure("SVD produced non-finite factors")
     return SvdResult(U=u, S=s, V=vh.T)
 
 
@@ -81,10 +79,7 @@ def unit_polar(a):
         raise RankDeficient(
             f"matrix is numerically rank deficient (smin/smax = {s[-1] / max(s[0], 1e-300):.3e})"
         )
-    p = u @ v.T
-    if not np.isfinite(p).all():
-        raise NumericsFailure("polar factor contains non-finite entries")
-    return p
+    return u @ v.T
 
 
 def least_squares(a, b):

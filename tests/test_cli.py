@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from incoframes import make_simplex_etf, read_frame, write_frame
+import incoframes.design
+from incoframes import RankDeficient, make_simplex_etf, read_frame, write_frame
 from incoframes.cli import main
 
 
@@ -97,6 +98,15 @@ class TestDesign:
     def test_invalid_dimensions(self, tmp_path):
         code = run_cli("design", "--m", "9", "--N", "4", "--out", str(tmp_path))
         assert code == 2
+
+    def test_rank_deficient_start_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        def refuse(a):
+            raise RankDeficient("refused")
+
+        monkeypatch.setattr(incoframes.design, "unit_polar", refuse)
+        code = run_cli("design", "--m", "4", "--N", "8", "--K", "1", "--out", str(tmp_path))
+        assert code == 4
+        assert "numeric failure:" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -277,6 +287,24 @@ class TestAdapt:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--synthetic"],
+            ["--frame", "{frame}", "--synthetic", "--iterations", "-1"],
+            ["--frame", "{frame}", "--images", "{images}", "--sparsity", "5"],
+        ],
+        ids=["no-frame", "negative-iterations", "sparsity-above-m"],
+    )
+    def test_bad_input_rejected_before_any_work(self, small_frame_file, tmp_path, bad):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        (img_dir / "x.pgm").write_text("P2\n4 4\n255\n" + " ".join(map(str, range(16))) + "\n")
+        out = tmp_path / "out"
+        argv = [arg.format(frame=small_frame_file, images=img_dir) for arg in bad]
+        assert run_cli("adapt", *argv, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_images_need_square_dimension(self, tmp_path):
         from incoframes import DesignConfig, run as design_run
 
@@ -343,8 +371,12 @@ class TestConfigFile:
         assert code == 0
         assert [p.name for p in tmp_path.glob("frame_*")] == ["frame_m5_n10_seed0.frame"]
 
-    # radius_slack and solver_tol are fixed design constants, not config keys.
-    @pytest.mark.parametrize("line", ["what = 1", "radius_slack = 1e-4", "solver-tol = 1e-8"])
+    # radius_slack and solver_tol are fixed design constants, not config keys;
+    # help and config name the parser's own options, not settings.
+    @pytest.mark.parametrize(
+        "line",
+        ["what = 1", "radius_slack = 1e-4", "solver-tol = 1e-8", "help = 1", "config = other.cfg"],
+    )
     def test_unknown_key(self, tmp_path, line):
         cfg = tmp_path / "design.cfg"
         cfg.write_text(f"m = 4\nN = 8\n{line}\n")

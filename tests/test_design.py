@@ -12,6 +12,7 @@ from incoframes import (
     DesignConfig,
     Frame,
     InvalidInput,
+    RankDeficient,
     initialize,
     make_simplex_etf,
     mutual_coherence,
@@ -78,6 +79,19 @@ class TestInitialization:
         f = initialize(DesignConfig(m=6, n_vectors=14, seed=4, nonneg=True))
         assert f.vectors.min() >= 0.0
         assert np.abs(np.linalg.norm(f.vectors, axis=0) - 1.0).max() < 1e-10
+
+    def test_rank_deficient_start_is_not_redrawn(self, monkeypatch):
+        # The frame and manifest record the seed, so the start is drawn once.
+        calls = []
+
+        def refuse(a):
+            calls.append(a)
+            raise RankDeficient("refused")
+
+        monkeypatch.setattr(incoframes.design, "unit_polar", refuse)
+        with pytest.raises(RankDeficient):
+            run(DesignConfig(m=4, n_vectors=8, sweeps=2, seed=3))
+        assert len(calls) == 1
 
 
 class TestSubproblem:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from incoframes import (
     write_line_chart,
     write_manifest,
 )
-from incoframes.frameio import read_image, read_pgm
+from incoframes.frameio import read_pgm
 
 
 @pytest.fixture()
@@ -223,6 +224,15 @@ class TestLineChart:
         with pytest.raises(InvalidInput):
             write_line_chart(tmp_path / "e.svg", [("a", [], [])], "x", "y", "t")
 
+    def test_markup_in_text_is_escaped(self, tmp_path):
+        path = tmp_path / "c.svg"
+        write_line_chart(path, [("a<b & c>d", [0, 1], [1.0, 2.0])], "x<1", "y & z", "<t>")
+        texts = [
+            node.firstChild.data
+            for node in xml.dom.minidom.parse(str(path)).getElementsByTagName("text")
+        ]
+        assert {"a<b & c>d", "x<1", "y & z", "<t>"} <= set(texts)
+
 
 class TestPgm:
     def test_ascii_with_comments(self, tmp_path):
@@ -272,22 +282,6 @@ class TestPgm:
         with pytest.raises(FrameFormatError):
             read_pgm(path)
 
-    def test_read_image_dispatch(self, tmp_path):
-        pgm = tmp_path / "img.pgm"
-        pgm.write_bytes(b"P2\n2 2\n255\n0 255 255 0\n")
-        assert read_image(pgm).shape == (2, 2)
-        with pytest.raises(FrameFormatError):
-            read_image(tmp_path / "img.tiff")
-
-    def test_read_png_via_pillow(self, tmp_path):
-        PIL = pytest.importorskip("PIL.Image")
-        arr = (np.arange(64, dtype=np.uint8).reshape(8, 8) * 4)
-        path = tmp_path / "img.png"
-        PIL.fromarray(arr, mode="L").save(path)
-        img = read_image(path)
-        assert img.shape == (8, 8)
-        assert abs(img[0, 1] - 4 / 255) < 1e-12
-
 
 class TestPatches:
     def test_patches_are_centered_unit_and_skip_constant(self):
@@ -313,8 +307,17 @@ class TestPatches:
             (tmp_path / name).write_text(f"P2\n8 8\n255\n{rows}\n")
         mat = load_patch_matrix(tmp_path, patch=8)
         assert mat.shape == (64, 2)
-        first = extract_patches(read_image(tmp_path / "a.pgm"), patch=8)
+        first = extract_patches(read_pgm(tmp_path / "a.pgm"), patch=8)
         assert np.array_equal(mat[:, :1], first)
+
+    def test_load_patch_matrix_reads_only_pgm(self, tmp_path):
+        rng = np.random.default_rng(8)
+        vals = (rng.uniform(size=(16, 8)) * 255).astype(int)
+        rows = "\n".join(" ".join(str(v) for v in row) for row in vals)
+        (tmp_path / "a.pgm").write_text(f"P2\n8 16\n255\n{rows}\n")
+        (tmp_path / "notes.png").write_bytes(b"not an image")
+        mat = load_patch_matrix(tmp_path, patch=8)
+        assert np.array_equal(mat, extract_patches(read_pgm(tmp_path / "a.pgm"), patch=8))
 
     def test_load_patch_matrix_empty_dir(self, tmp_path):
         with pytest.raises(FrameFormatError):
