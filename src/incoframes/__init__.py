@@ -41,11 +41,8 @@ from .frames import (
     frame_metrics,
     make_simplex_etf,
     mutual_coherence,
-    random_unit_frame,
-    unit_columns,
     welch_bound,
 )
-from .linalg import SvdResult, least_squares, svd, unit_polar
 from .minimax import (
     KktResiduals,
     SubproblemSolution,
@@ -81,7 +78,6 @@ __all__ = [
     "RankDeficient",
     "SolverStall",
     "SubproblemSolution",
-    "SvdResult",
     "SweepReport",
     "TrustSubproblem",
     "adapt_dictionary",
@@ -90,22 +86,17 @@ __all__ = [
     "frame_metrics",
     "initialize",
     "kkt_residuals",
-    "least_squares",
     "load_patch_matrix",
     "make_planted_dataset",
     "make_simplex_etf",
     "mutual_coherence",
     "omp",
     "random_sensing_frame",
-    "random_unit_frame",
     "read_frame",
     "run",
     "run_cs_experiment",
     "solve_subproblem",
     "subproblem",
-    "svd",
-    "unit_columns",
-    "unit_polar",
     "welch_bound",
     "write_correlation_profile",
     "write_cs_table",

@@ -284,14 +284,11 @@ def _build_parser():
     p.add_argument("--seeds", type=str, default="0", help="seed list: 7, 1..10, or 1,4,9")
     p.add_argument("--eps-stop", type=float, default=1e-5, help="escape trigger threshold")
     p.add_argument("--nonneg", action="store_true", help="entrywise nonnegative vectors")
-    p.add_argument("--out", type=str, default=".", help="output directory")
-    p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_design)
 
     p = sub.add_parser("analyze", help="metrics and correlation profile of a frame file")
     p.add_argument("frame", type=str, help="frame file to analyze")
     p.add_argument("--csv", type=str, help="correlation profile output path")
-    p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("cs-bench", help="compressed-sensing recovery benchmark")
@@ -309,8 +306,6 @@ def _build_parser():
     )
     p.add_argument("--frame-file", type=str, help="sensing frame for source frame-file")
     p.add_argument("--design-sweeps", type=int, default=150, help="sweeps for fresh designs")
-    p.add_argument("--out", type=str, default=".", help="output directory")
-    p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_cs_bench)
 
     p = sub.add_parser("adapt", help="rotate a frame to fit data, preserving coherence")
@@ -322,10 +317,12 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=512, help="synthetic sample count")
     p.add_argument("--noise", type=float, default=0.01, help="synthetic noise scale")
     p.add_argument("--seed", type=int, default=0, help="synthetic data seed")
-    p.add_argument("--out", type=str, default=".", help="output directory")
-    p.add_argument("--config", type=str, help="key = value defaults file")
     p.set_defaults(handler=_cmd_adapt)
 
+    for name, p in sub.choices.items():
+        if name != "analyze":
+            p.add_argument("--out", type=str, default=".", help="output directory")
+        p.add_argument("--config", type=str, help="key = value defaults file")
     return parser, sub.choices
 
 
@@ -344,8 +341,8 @@ def _apply_config_defaults(subparser, path):
         key, val = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = val
     for action in subparser._actions:
-        # --help and --config itself are not settings: their keys stay unknown.
-        if action.dest in values and action.dest not in ("help", "config"):
+        # Positionals, --help and --config itself are not settings: their keys stay unknown.
+        if action.option_strings and action.dest in values and action.dest not in ("help", "config"):
             raw = values.pop(action.dest)
             try:
                 if action.const is True and action.nargs == 0:  # store_true flag

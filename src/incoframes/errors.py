@@ -22,16 +22,14 @@ class SolverStall(RuntimeError):
 
     ``reason`` names the exit: ``"cap"`` (the iteration cap), ``"non-finite"``
     (a non-finite normal matrix or Newton direction) or ``"factorization"``
-    (the normal matrix failed to factor). Carries the lowest-merit iterate
-    seen (merit: the 2-norms of the primal and dual residuals plus the
-    duality gap) and its duality gap, so callers can decide whether the
+    (the normal matrix failed to factor). ``solution`` is the iterate the
+    loop stopped at, with its duality gap, so callers can decide whether the
     partial answer is usable.
     """
 
-    def __init__(self, message, solution=None, gap=None, reason=None):
+    def __init__(self, message, solution=None, reason=None):
         super().__init__(message)
         self.solution = solution
-        self.gap = gap
         self.reason = reason
 
 

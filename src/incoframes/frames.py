@@ -7,7 +7,7 @@ frame potential, and the Welch lower bound on the largest correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,7 +155,7 @@ def make_simplex_etf(m):
 class EtfCertificate:
     """Outcome of testing a frame for equiangular tightness.
 
-    When both flags hold with ``mu_attained > 0`` the certificate also checks
+    When both flags hold with coherence mu > ``tol`` the certificate also checks
     two structural identities of such frames around a reference column: the
     canonicalized neighbor Gram has the ones vector as an eigenvector with
     eigenvalue (N - m)/m, and every column's positive-minus-negative
@@ -164,9 +164,7 @@ class EtfCertificate:
 
     is_equiangular: bool
     is_tight: bool
-    mu_attained: float
     eigen_residual: float | None = None
-    sign_balance: np.ndarray | None = field(default=None, repr=False)
     balance_value: float | None = None
     balance_ok: bool | None = None
 
@@ -186,7 +184,7 @@ def certify_etf(frame, tol=1e-6):
     is_tight = tight_dev <= tol * tight_target
 
     if not (is_eq and is_tight and mu > tol):
-        return EtfCertificate(is_equiangular=is_eq, is_tight=is_tight, mu_attained=mu)
+        return EtfCertificate(is_equiangular=is_eq, is_tight=is_tight)
 
     # The Gram of the columns flipped so every correlation with column 0 is
     # non-negative, the orientation ``design.subproblem(frame, 0)`` builds.
@@ -208,9 +206,7 @@ def certify_etf(frame, tol=1e-6):
     return EtfCertificate(
         is_equiangular=is_eq,
         is_tight=is_tight,
-        mu_attained=mu,
         eigen_residual=eigen_residual,
-        sign_balance=balance[1:].astype(int),
         balance_value=float(expected),
         balance_ok=balance_ok,
     )

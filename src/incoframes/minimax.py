@@ -186,7 +186,7 @@ def solve_subproblem(problem):
         ``"cap"`` after ``_MAX_ITER`` (100) iterations, ``"non-finite"`` for
         a non-finite normal matrix or corrector direction, and
         ``"factorization"`` when the normal matrix fails to factor. The
-        exception carries the iterate of lowest merit seen and its gap.
+        exception carries the iterate the loop stopped at, with its gap.
     NumericsFailure
         If LAPACK rejects an argument, which no input data can cause.
     """
@@ -305,8 +305,6 @@ def solve_subproblem(problem):
         np.multiply(steps, direction, out=trial_state)
         np.add(state, trial_state, out=trial_state)
 
-    best = None
-    best_phi = np.inf
     reason = "cap"
     # A constant fraction to the boundary: a rule that moves it toward 1 as
     # mu falls lets a slack shrink 1e5-fold per iteration, until its weight
@@ -316,9 +314,6 @@ def solve_subproblem(problem):
     # g, gap, phi, r_p, r_d and jac's last row all belong to the point in
     # state: it is the last point evaluated.
     for it in range(_MAX_ITER):
-        if phi < best_phi:
-            best_phi = phi
-            best = (state.copy(), gap)
         if gap <= _TOL and float(np.abs(r_p).max()) <= _TOL:
             # Objective certified by the gap; accept once the full optimality
             # residuals sit safely inside the 10*_TOL contract. Ill-conditioned
@@ -388,13 +383,9 @@ def solve_subproblem(problem):
             gap, phi = evaluate()
         state[:] = trial_state
 
-    best_state, bgap = best
-    bx, _, bz = split(best_state)
-    partial = _package(problem, bx, bz, bgap, it + 1, False)
     raise SolverStall(
-        f"no certificate after {it + 1} iterations ({reason}; gap {bgap:.3e}, tol {_TOL:.1e})",
-        solution=partial,
-        gap=bgap,
+        f"no certificate after {it + 1} iterations ({reason}; gap {gap:.3e}, tol {_TOL:.1e})",
+        solution=_package(problem, x, z, gap, it + 1, False),
         reason=reason,
     )
 

@@ -187,7 +187,6 @@ class AdaptationRun:
     adapted: Frame
     rotation: np.ndarray
     error_trace: list
-    sparsity: int
     iterations: int
     rank_deficient_steps: list = field(default_factory=list)
 
@@ -259,7 +258,6 @@ def adapt_dictionary(y, frame, s, iterations):
         adapted=Frame(f_mat),
         rotation=rotation,
         error_trace=trace,
-        sparsity=s,
         iterations=iterations,
         rank_deficient_steps=rank_deficient,
     )

@@ -21,14 +21,12 @@ from incoframes import (
     make_simplex_etf,
     mutual_coherence,
     random_sensing_frame,
-    random_unit_frame,
     run,
     run_cs_experiment,
     solve_subproblem,
     subproblem,
-    unit_columns,
 )
-from incoframes.frames import correlations
+from incoframes.frames import correlations, unit_columns
 from incoframes.cli import main as cli_main
 
 pytestmark = pytest.mark.acceptance

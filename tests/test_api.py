@@ -23,7 +23,6 @@ PUBLIC = [
     "RankDeficient",
     "SolverStall",
     "SubproblemSolution",
-    "SvdResult",
     "SweepReport",
     "TrustSubproblem",
     "__version__",
@@ -33,22 +32,17 @@ PUBLIC = [
     "frame_metrics",
     "initialize",
     "kkt_residuals",
-    "least_squares",
     "load_patch_matrix",
     "make_planted_dataset",
     "make_simplex_etf",
     "mutual_coherence",
     "omp",
     "random_sensing_frame",
-    "random_unit_frame",
     "read_frame",
     "run",
     "run_cs_experiment",
     "solve_subproblem",
     "subproblem",
-    "svd",
-    "unit_columns",
-    "unit_polar",
     "welch_bound",
     "write_correlation_profile",
     "write_cs_table",
@@ -67,7 +61,7 @@ def test_all_names_resolve_once():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 42
     assert sorted(incoframes.__all__) == PUBLIC
 
 

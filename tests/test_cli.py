@@ -382,6 +382,12 @@ class TestConfigFile:
         cfg.write_text(f"m = 4\nN = 8\n{line}\n")
         assert run_cli("design", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    def test_positional_is_not_a_key(self, small_frame_file, tmp_path):
+        cfg = tmp_path / "analyze.cfg"
+        cfg.write_text(f"frame = {tmp_path / 'other.frame'}\n")
+        assert run_cli("analyze", str(small_frame_file), "--config", str(cfg)) == 2
+        assert not small_frame_file.with_name("small_correlations.csv").exists()
+
     def test_bad_value(self, tmp_path):
         cfg = tmp_path / "design.cfg"
         cfg.write_text("m = four\nN = 8\n")

@@ -16,11 +16,10 @@ from incoframes import (
     initialize,
     make_simplex_etf,
     mutual_coherence,
-    random_unit_frame,
     run,
     subproblem,
-    unit_columns,
 )
+from incoframes.frames import random_unit_frame, unit_columns
 
 
 def run_in(m, n, seed, sweeps=2):

@@ -16,7 +16,6 @@ from incoframes import (
     load_patch_matrix,
     make_simplex_etf,
     mutual_coherence,
-    random_unit_frame,
     read_frame,
     run,
     run_cs_experiment,
@@ -30,6 +29,7 @@ from incoframes import (
     write_manifest,
 )
 from incoframes.frameio import read_pgm
+from incoframes.frames import random_unit_frame
 
 
 @pytest.fixture()

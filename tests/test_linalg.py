@@ -2,14 +2,8 @@
 import numpy as np
 import pytest
 
-from incoframes import (
-    InvalidInput,
-    RankDeficient,
-    SvdResult,
-    least_squares,
-    svd,
-    unit_polar,
-)
+from incoframes import InvalidInput, RankDeficient
+from incoframes.linalg import SvdResult, least_squares, svd, unit_polar
 
 
 def jacobi_eigenvalues(s, tol=1e-13, max_sweeps=60):

@@ -21,8 +21,8 @@ from incoframes import (
     run,
     solve_subproblem,
     subproblem,
-    unit_columns,
 )
+from incoframes.frames import unit_columns
 
 
 def subproblem_for(frame, i, max_neighbors=None):
@@ -321,8 +321,7 @@ class TestFactorization:
         assert info.value.reason == reason
         partial = info.value.solution
         assert partial is not None and not partial.converged
-        assert info.value.gap is not None and info.value.gap > 0.0
-        assert partial.gap == info.value.gap
+        assert partial.gap > 0.0
 
     def test_iteration_cap_stalls(self, problem, monkeypatch):
         monkeypatch.setattr(incoframes.minimax, "_MAX_ITER", 2)

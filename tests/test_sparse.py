@@ -19,8 +19,8 @@ from incoframes import (
     random_sensing_frame,
     run,
     run_cs_experiment,
-    unit_columns,
 )
+from incoframes.frames import unit_columns
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ class TestCsExperiment:
         assert res.support_rate == 1.0
 
     def test_designed_sensing_beats_random(self, designed_20x40):
-        exp = CsExperiment(n_signal=40, n_atoms=60, sparsity=3, trials=100, seed=5)
+        exp = CsExperiment(n_signal=40, n_atoms=60, sparsity=3, trials=1000, seed=5)
         designed = run_cs_experiment(exp, designed_20x40)
         random = run_cs_experiment(exp, random_sensing_frame(20, 40, seed=123))
         assert designed.sensing_coherence < random.sensing_coherence
