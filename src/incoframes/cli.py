@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .design import DesignConfig, run
+from .design import DesignConfig, _fork_map, run
 from .errors import (
     FrameFormatError,
     InvalidInput,
@@ -76,6 +76,14 @@ def _require(args, names):
             raise InvalidInput(f"missing required option --{name}")
 
 
+def _timed_run(cfg):
+    """``run(cfg)`` and its wall seconds. ``run`` is looked up in this module,
+    so a wrapper put on ``incoframes.cli.run`` sees every design run here."""
+    started = time.perf_counter()
+    frame, report = run(cfg)
+    return frame, report, time.perf_counter() - started
+
+
 def _cmd_design(args):
     _require(args, ["m", "N"])
     # Reject every bad setting before the output directory is created.
@@ -92,12 +100,20 @@ def _cmd_design(args):
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+
+    def attempt(cfg):
+        # A failure comes back as a value, so the seeds before it are still written.
+        try:
+            return _timed_run(cfg)
+        except Exception as exc:
+            return exc
+
     initial_mus, final_mus, final_avgs = [], [], []
     tag = "_nonneg" if args.nonneg else ""
-    for cfg in configs:
-        started = time.perf_counter()
-        frame, report = run(cfg)
-        wall = time.perf_counter() - started
+    for cfg, result in zip(configs, _fork_map(attempt, configs)):
+        if isinstance(result, Exception):
+            raise result
+        frame, report, wall = result
         fm = report.final_metrics
         initial_mus.append(report.raw_coherence)
         final_mus.append(fm.mu)
@@ -155,7 +171,7 @@ def _cmd_analyze(args):
     return 0
 
 
-def _sensing_for(source, m, args):
+def _sensing_for(source, m, args, file_frame):
     if source == "random-gaussian":
         return random_sensing_frame(m, args.N, [args.seed, m])
     if source == "designed-fresh":
@@ -163,12 +179,7 @@ def _sensing_for(source, m, args):
         frame, _ = run(cfg)
         return frame
     # "frame-file": _cmd_cs_bench admits no other source.
-    frame, _ = read_frame(args.frame_file)
-    if frame.m != m or frame.n_vectors != args.N:
-        raise InvalidInput(
-            f"{args.frame_file} is {frame.m}x{frame.n_vectors}, benchmark wants {m}x{args.N}"
-        )
-    return frame
+    return file_frame
 
 
 def _cmd_cs_bench(args):
@@ -190,15 +201,30 @@ def _cmd_cs_bench(args):
     for m in m_list:
         if not 2 <= m <= args.N:
             raise InvalidInput(f"every m needs 2 <= m <= N={args.N}, got m={m}")
+    file_frame = None
+    if "frame-file" in sources:
+        file_frame, _ = read_frame(args.frame_file)
+        for m in m_list:
+            if file_frame.m != m or file_frame.n_vectors != args.N:
+                raise InvalidInput(
+                    f"{args.frame_file} is {file_frame.m}x{file_frame.n_vectors}, "
+                    f"benchmark wants {m}x{args.N}"
+                )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = []
-    for m in m_list:
+
+    def measure(m):
+        rows = []
         for source in sources:
-            sensing = _sensing_for(source, m, args)
+            sensing = _sensing_for(source, m, args, file_frame)
+            rows.append((source, sensing, run_cs_experiment(experiment, sensing)))
+        return rows
+
+    results = []
+    for m, rows in zip(m_list, _fork_map(measure, m_list)):
+        for source, sensing, res in rows:
             if source == "designed-fresh":
                 write_frame(out / f"sensing_m{m}_n{args.N}.frame", sensing, seed=args.seed)
-            res = run_cs_experiment(experiment, sensing)
             results.append((m, source, res))
             print(
                 f"m={m:3d} source={source:15s} sensing_mu={res.sensing_coherence:.4f} "

@@ -13,6 +13,10 @@ frame and the search continues; the best frame ever seen is returned.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -256,3 +260,81 @@ def run(cfg, initial=None):
     best_frame = Frame(best)
     report.final_metrics = frame_metrics(best_frame)
     return best_frame, report
+
+
+def _share(fn, items):
+    """``(ok, value)`` for each of ``items`` in order, up to and including
+    the first exception ``fn`` raises."""
+    pairs = []
+    for x in items:
+        try:
+            pairs.append((True, fn(x)))
+        except Exception as exc:
+            pairs.append((False, exc))
+            break
+    return pairs
+
+
+def _fork_map(fn, items, jobs=None):
+    """``[fn(x) for x in items]``, computed across every usable core.
+
+    ``jobs`` defaults to the CPUs in this process's affinity mask and is
+    capped at one per item. Forked worker w (1 <= w < jobs) computes
+    ``items[w::jobs]`` and the calling process ``items[0::jobs]``. A worker
+    pickles its ``_share`` into a pipe and leaves through ``os._exit``, so no
+    exit hook runs and no inherited output buffer is flushed twice. Results
+    come back in item order, and the first exception in item order is
+    raised, as the serial loop would raise it. Nothing is pickled on the way
+    out, so ``fn`` may be a closure. One share runs in this process, with no
+    fork, when ``os.fork`` is missing or other threads run: a forked copy of
+    a threaded process can deadlock. Every child is waited for; if this
+    process fails first, the children still running are killed.
+    """
+    items = list(items)
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        jobs = 1
+    jobs = max(1, min(jobs, len(items)))
+    shares = [None] * jobs
+    children = {}  # pid -> (worker number, read end of its pipe), until waited for
+    try:
+        for w in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    data = pickle.dumps(_share(fn, items[w::jobs]))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = (w, read_fd)
+            os.close(write_fd)
+        shares[0] = _share(fn, items[0::jobs])
+        for pid, (w, read_fd) in list(children.items()):
+            children[pid] = (w, None)  # the file object owns the descriptor now
+            with os.fdopen(read_fd, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(f"design worker {w} exited with status {code} before sending its results")
+            shares[w] = pickle.loads(data)
+    finally:
+        for pid, (_, read_fd) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if read_fd is not None:
+                os.close(read_fd)
+    results = []
+    for i in range(len(items)):
+        # A share stops at its first exception, which comes before any item it skipped.
+        ok, value = shares[i % jobs][i // jobs]
+        if not ok:
+            raise value
+        results.append(value)
+    return results

@@ -2,6 +2,8 @@
 and the list itself is pinned, so a new export is a visible change."""
 
 import inspect
+import subprocess
+import sys
 
 import incoframes
 import incoframes.design
@@ -80,3 +82,15 @@ def test_one_path_per_job():
     # The solver's tolerance and iteration cap are constants, not knobs.
     assert list(inspect.signature(incoframes.solve_subproblem).parameters) == ["problem"]
     assert "extra" not in inspect.signature(incoframes.write_frame).parameters
+
+
+def test_import_loads_no_lapack():
+    # scipy.linalg costs about 30 MB and 0.2 s; the first solve loads it, not the import.
+    code = (
+        "import sys, incoframes, incoframes.minimax as mm\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "mm.dpotrf\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]

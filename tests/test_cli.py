@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour through in-process main() calls."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+import incoframes.cli
 import incoframes.design
 from incoframes import RankDeficient, make_simplex_etf, read_frame, write_frame
 from incoframes.cli import main
@@ -109,6 +111,85 @@ class TestDesign:
         assert "numeric failure:" in capsys.readouterr().err
 
 
+def outputs(out, printed):
+    """Every file under ``out`` by name, manifests without their run-dependent
+    fields, and the printed text with design wall times masked."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            del doc["wall_seconds"], doc["environment"]
+            found[path.name] = doc
+        else:
+            found[path.name] = path.read_bytes()
+    return found, re.sub(r", \d+\.\ds\)$", ", -s)", printed, flags=re.M)
+
+
+class TestParallelRuns:
+    """Commands that spread independent runs over the usable cores write and
+    print what one run after another writes and prints."""
+
+    DESIGN = ("design", "--m", "5", "--N", "10", "--K", "6", "--eps-stop", "1e-3")
+
+    def test_seed_list_matches_single_seed_calls(self, tmp_path, capsys):
+        assert run_cli(*self.DESIGN, "--seeds", "1..3", "--out", str(tmp_path / "all")) == 0
+        files, printed = outputs(tmp_path / "all", capsys.readouterr().out)
+        single_files, single_lines = {}, []
+        for seed in (1, 2, 3):
+            out = tmp_path / f"seed{seed}"
+            assert run_cli(*self.DESIGN, "--seeds", str(seed), "--out", str(out)) == 0
+            found, text = outputs(out, capsys.readouterr().out)
+            single_files.update(found)
+            single_lines.append(text.splitlines()[0])
+        assert files == single_files
+        assert printed.splitlines()[:3] == single_lines
+
+    def test_failed_seed_writes_exactly_the_seeds_before_it(self, tmp_path, monkeypatch, capsys):
+        real_run = incoframes.cli.run
+
+        def refuse_seed_2(cfg):
+            if cfg.seed == 2:
+                raise RankDeficient("refused")
+            return real_run(cfg)
+
+        # Patched before the fork, so the worker that runs seed 2 refuses it too.
+        monkeypatch.setattr(incoframes.cli, "run", refuse_seed_2)
+        results = {}
+        for name, jobs in (("forked", None), ("serial", 1)):
+            monkeypatch.setattr(
+                incoframes.cli, "_fork_map",
+                lambda fn, items, jobs=jobs: incoframes.design._fork_map(fn, items, jobs),
+            )
+            out = tmp_path / name
+            code = run_cli(*self.DESIGN, "--seeds", "1..3", "--out", str(out))
+            captured = capsys.readouterr()
+            results[name] = (code, captured.err, outputs(out, captured.out))
+        code, err, (files, printed) = results["forked"]
+        assert code == 4 and "numeric failure: refused" in err
+        assert sorted(files) == ["frame_m5_n10_seed1.frame", "manifest_m5_n10_seed1.json"]
+        assert printed.startswith("seed 1:") and printed.count("\n") == 1
+        assert results["forked"] == results["serial"]
+
+    def test_cs_bench_m_list_matches_single_m_calls(self, tmp_path, capsys):
+        args = (
+            "cs-bench", "--N", "16", "--M", "24", "--sparsity", "2", "--trials", "5",
+            "--seed", "1", "--design-sweeps", "3", "--sources", "designed-fresh,random-gaussian",
+        )
+        assert run_cli(*args, "--m-list", "6,8", "--out", str(tmp_path / "both")) == 0
+        both = (tmp_path / "both" / "cs_bench.csv").read_text().splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        rows, single_lines = both[:1], []
+        for m in ("6", "8"):
+            out = tmp_path / m
+            assert run_cli(*args, "--m-list", m, "--out", str(out)) == 0
+            rows += (out / "cs_bench.csv").read_text().splitlines()[1:]
+            single_lines += capsys.readouterr().out.splitlines()[:2]
+            frame = f"sensing_m{m}_n16.frame"
+            assert (out / frame).read_bytes() == (tmp_path / "both" / frame).read_bytes()
+        assert both == rows
+        assert lines[:4] == single_lines
+
+
 class TestAnalyze:
     def test_metrics_and_profile(self, small_frame_file, tmp_path, capsys):
         csv_path = tmp_path / "corr.csv"
@@ -197,6 +278,17 @@ class TestCsBench:
             "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_frame_file_mismatch_rejected_before_any_work(self, small_frame_file, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(
+            "cs-bench", "--N", "8", "--M", "16", "--sparsity", "2",
+            "--m-list", "4,5", "--trials", "4", "--design-sweeps", "2",
+            "--sources", "designed-fresh,frame-file", "--frame-file", str(small_frame_file),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_frame_file_source_needs_path(self, tmp_path):
         code = run_cli(

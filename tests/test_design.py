@@ -2,6 +2,10 @@
 sweeps through ``run``, escape scheduling, and full runs on small frames."""
 
 import hashlib
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,12 +17,14 @@ from incoframes import (
     Frame,
     InvalidInput,
     RankDeficient,
+    SolverStall,
     initialize,
     make_simplex_etf,
     mutual_coherence,
     run,
     subproblem,
 )
+from incoframes.design import _fork_map
 from incoframes.frames import random_unit_frame, unit_columns
 
 
@@ -323,6 +329,83 @@ class TestRun:
             run(cfg)
             run(cfg, initial=initialize(cfg))
         assert layouts == [True] * 13
+
+
+class TestForkMap:
+    """``_fork_map`` returns the serial loop's results and raises its first
+    exception for any number of forked workers, and leaves no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # A hung pipe read or wait fails the test instead of the session.
+        def expired(signum, frame):
+            raise TimeoutError("_fork_map did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_same_ordered_results_for_any_job_count(self):
+        seeds = range(1, 8)
+        want = [run_in(4, 8, seed).vectors.tobytes() for seed in seeds]
+        for jobs in (1, 2, 3):
+            got = _fork_map(lambda seed: (os.getpid(), run_in(4, 8, seed).vectors.tobytes()), seeds, jobs)
+            assert [frame for _, frame in got] == want
+            pids = [pid for pid, _ in got]
+            assert pids[0::jobs] == [os.getpid()] * len(pids[0::jobs])
+            assert len(set(pids)) == jobs
+
+    @pytest.mark.parametrize("jobs, bad", [(1, 4), (2, 4), (2, 3), (3, 4)],
+                             ids=["serial", "caller-share", "worker-share", "three-shares"])
+    def test_first_exception_in_item_order(self, jobs, bad):
+        def fn(x):
+            if x == bad:
+                raise SolverStall(f"stalled at {x}", reason="cap")
+            if x > bad:
+                raise ValueError(x)  # later in item order, so never raised
+            return x
+
+        with pytest.raises(SolverStall) as info:
+            _fork_map(fn, range(9), jobs)
+        assert str(info.value) == f"stalled at {bad}"
+        assert info.value.reason == "cap"
+
+    def test_worker_that_dies_raises(self):
+        def fn(x):
+            if x == 1:
+                os._exit(3)
+            return x
+
+        with pytest.raises(RuntimeError, match="status 3"):
+            _fork_map(fn, range(4), 2)
+
+    def test_interrupt_in_caller_kills_workers(self):
+        def fn(x):
+            if x == 0:
+                raise KeyboardInterrupt
+            time.sleep(30)
+            return x
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _fork_map(fn, range(2), 2)
+        assert time.perf_counter() - started < 10
+
+    def test_no_fork_while_other_threads_run(self):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            pids = _fork_map(lambda x: os.getpid(), range(4), 2)
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert pids == [os.getpid()] * 4
 
 
 class TestPinnedRuns:
