@@ -322,7 +322,9 @@ def _fork_map(fn, items, jobs=None):
             del children[pid]
             code = os.waitstatus_to_exitcode(status)
             if code != 0:
-                raise RuntimeError(f"design worker {w} exited with status {code} before sending its results")
+                raise RuntimeError(
+                    f"design worker {w} exited with status {code} before sending its results"
+                )
             shares[w] = pickle.loads(data)
     finally:
         for pid, (_, read_fd) in children.items():

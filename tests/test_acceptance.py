@@ -30,7 +30,7 @@ from incoframes import (
     subproblem,
 )
 from incoframes.frames import correlations, unit_columns
-from incoframes.cli import main as cli_main
+from incoframes.cli import _timed_run, main as cli_main
 from incoframes.design import _fork_map
 
 pytestmark = pytest.mark.acceptance
@@ -42,24 +42,19 @@ def report(name, ok, detail):
     print(f"criterion {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def timed_run(cfg):
-    started = time.perf_counter()
-    frame, rep = run(cfg)
-    return frame, rep, time.perf_counter() - started
-
-
 def timed_map(fn, items):
     """``fn`` over ``items`` through ``_fork_map``: each result without its
-    seconds, the seconds summed over the items, and the pool's wall time.
-    ``fn`` returns its seconds last."""
+    seconds, each item's seconds, and the pool's wall time. ``fn`` returns
+    its seconds last."""
     started = time.perf_counter()
     timed = _fork_map(fn, items)
     wall = time.perf_counter() - started
-    return [t[:-1] for t in timed], sum(t[-1] for t in timed), wall
+    return [t[:-1] for t in timed], [t[-1] for t in timed], wall
 
 
 def design_many(m, n, sweeps, seeds):
-    return timed_map(timed_run, [DesignConfig(m=m, n_vectors=n, sweeps=sweeps, seed=s) for s in seeds])
+    cfgs = [DesignConfig(m=m, n_vectors=n, sweeps=sweeps, seed=s) for s in seeds]
+    return timed_map(_timed_run, cfgs)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +69,16 @@ def runs_25x50():
 
 @pytest.fixture(scope="module")
 def runs_64x128():
-    return design_many(64, 128, 150, range(1, 4))
+    # Criterion 4's nonneg run joins criterion 3's three seeds: four runs keep
+    # both cores busy, where three leave one idle for a third of the time.
+    cfgs = [DesignConfig(m=64, n_vectors=128, sweeps=150, seed=s) for s in range(1, 4)]
+    cfgs.append(DesignConfig(m=64, n_vectors=128, sweeps=150, seed=1, nonneg=True))
+    return timed_map(_timed_run, cfgs)
 
 
 def test_criterion_01_coherence_15x30(runs_15x30):
-    results, elapsed, wall = runs_15x30
+    results, seconds, wall = runs_15x30
+    elapsed = sum(seconds)
     mus = [mutual_coherence(frame) for frame, _ in results]
     ok = min(mus) <= 0.215 and float(np.mean(mus)) <= 0.22 and elapsed <= 600
     report(
@@ -93,20 +93,23 @@ def test_criterion_01_coherence_15x30(runs_15x30):
 
 
 def test_criterion_02_coherence_25x50(runs_25x50):
-    results, elapsed, wall = runs_25x50
+    results, seconds, wall = runs_25x50
+    elapsed = sum(seconds)
     mus = [mutual_coherence(frame) for frame, _ in results]
     ok = min(mus) <= 0.170 and elapsed <= 900
     report(
         "2 (25x50 K=200, 5 seeds)",
         ok,
-        f"min mu {min(mus):.4f} <= 0.170, {elapsed:.0f}s <= 900s summed over runs, {wall:.0f}s wall",
+        f"min mu {min(mus):.4f} <= 0.170, "
+        f"{elapsed:.0f}s <= 900s summed over runs, {wall:.0f}s wall",
     )
     assert min(mus) <= 0.170
     assert elapsed <= 900
 
 
 def test_criterion_03_coherence_64x128(runs_64x128):
-    results, elapsed, wall = runs_64x128
+    runs, seconds, wall = runs_64x128
+    results, elapsed = runs[:3], sum(seconds[:3])
     mus = [mutual_coherence(frame) for frame, _ in results]
     best = results[int(np.argmin(mus))][0]
     _, vals = correlations(best.vectors)
@@ -116,15 +119,15 @@ def test_criterion_03_coherence_64x128(runs_64x128):
         "3 (64x128 K=150, 3 seeds)",
         ok,
         f"min mu {min(mus):.4f} <= 0.108, frac>=0.99mu {frac99:.4f} >= 0.5, "
-        f"{elapsed:.0f}s <= 3600s summed over runs, {wall:.0f}s wall",
+        f"{elapsed:.0f}s <= 3600s summed over runs, {wall:.0f}s wall with criterion 4's run",
     )
     assert min(mus) <= 0.108
     assert frac99 >= 0.5
     assert elapsed <= 3600
 
 
-def test_criterion_04_nonnegative_64x128():
-    frame, _ = run(DesignConfig(m=64, n_vectors=128, sweeps=150, seed=1, nonneg=True))
+def test_criterion_04_nonnegative_64x128(runs_64x128):
+    frame, _ = runs_64x128[0][3]
     mu = mutual_coherence(frame)
     ok = mu <= 0.26 and frame.vectors.min() >= 0.0
     report("4 (nonneg 64x128 K=150)", ok, f"mu {mu:.4f} <= 0.26, entries >= 0")
@@ -156,7 +159,7 @@ def test_criterion_05_etf_fixed_point():
 def test_criterion_06_monotonicity_15x60():
     violations = 0
     checked = 0
-    results, elapsed, wall = design_many(15, 60, 30, range(1, 21))
+    results, seconds, wall = design_many(15, 60, 30, range(1, 21))
     for _, rep in results:
         escapes = set(rep.escape_sweeps)
         esc_mu = dict(zip(rep.escape_sweeps, rep.escape_coherence))
@@ -170,7 +173,7 @@ def test_criterion_06_monotonicity_15x60():
         "6 (trace monotone between escapes, 20 seeds)",
         ok,
         f"{violations} violations in {checked} steps at 1e-9 slack, "
-        f"{elapsed:.0f}s summed over runs, {wall:.0f}s wall",
+        f"{sum(seconds):.0f}s summed over runs, {wall:.0f}s wall",
     )
     assert violations == 0
 
@@ -304,7 +307,8 @@ def test_criterion_10_cs_benchmark():
         err_random = run_cs_experiment(exp, random_frame).mean_error
         return err_designed, err_random, time.perf_counter() - started
 
-    results, elapsed, wall = timed_map(errors, ms)
+    results, seconds, wall = timed_map(errors, ms)
+    elapsed = sum(seconds)
     gaps = dict(zip(ms, results))
     ok = all(d < r for d, r in gaps.values()) and elapsed <= 600
     detail = ", ".join(f"m={m}: {d:.4f} < {r:.4f}" for m, (d, r) in gaps.items())

@@ -352,8 +352,12 @@ class TestForkMap:
     def test_same_ordered_results_for_any_job_count(self):
         seeds = range(1, 8)
         want = [run_in(4, 8, seed).vectors.tobytes() for seed in seeds]
+
+        def pid_and_frame(seed):
+            return os.getpid(), run_in(4, 8, seed).vectors.tobytes()
+
         for jobs in (1, 2, 3):
-            got = _fork_map(lambda seed: (os.getpid(), run_in(4, 8, seed).vectors.tobytes()), seeds, jobs)
+            got = _fork_map(pid_and_frame, seeds, jobs)
             assert [frame for _, frame in got] == want
             pids = [pid for pid, _ in got]
             assert pids[0::jobs] == [os.getpid()] * len(pids[0::jobs])
