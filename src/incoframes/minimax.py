@@ -169,18 +169,15 @@ def kkt_residuals(problem, solution):
     return KktResiduals(stationarity=stat, complementarity=comp, primal=primal)
 
 
-def _step_lengths(w, dw, p, out):
-    """Largest step along ``dw`` keeping each half of ``w = (s, z) > 0`` non-negative.
-
-    Returns ``(alpha_s, alpha_z)``, each ``inf`` when its half of ``dw`` has
-    no negative entry. ``out`` is a work array of ``w``'s length.
-    """
+def _step_length(w, dw, out):
+    """Largest step along ``dw`` keeping ``w = (s, z) > 0`` non-negative, ``inf``
+    when no entry of ``dw`` is negative. ``out`` is a work array of ``w``'s length."""
     # min over dw < 0 of -w/dw is -(max of w/dw): negation is exact, so this
     # is bit for bit the textbook ratio test. -0.0 and NaN entries of dw are
     # not negative and drop out.
     out.fill(-np.inf)
     np.divide(w, dw, out=out, where=dw < 0.0)
-    return -float(np.maximum.reduce(out[:p])), -float(np.maximum.reduce(out[p:]))
+    return -float(np.maximum.reduce(out))
 
 
 def solve_subproblem(problem):
@@ -224,10 +221,10 @@ def solve_subproblem(problem):
     ball_row = jac[-1, :m]
 
     # The iterate (x, s, z) is one array and each Newton direction (dx, ds,
-    # dz) another of the same layout, so a step is one multiply-add and the
-    # trailing 2p entries take one ratio test. Trial points, the start among
-    # them, fill a second state array, copied in when accepted; the views
-    # below stay valid.
+    # dz) another of the same layout: the trailing 2p entries take one ratio
+    # test, and one multiply-add moves x, s and z by its one length. Trial
+    # points, the start among them, fill a second state array, copied in
+    # when accepted; the views below stay valid.
     def split(v):
         return v[:n], v[n : n + p], v[n + p :]
 
@@ -256,7 +253,6 @@ def solve_subproblem(problem):
     rc_s = np.empty(p)
     rhs = np.empty(p)
     rp2 = np.empty(p)
-    steps = np.empty(n + 2 * p)
     ratios = np.empty(2 * p)
 
     # Products inside the iteration use ndarray.dot: it calls the same BLAS
@@ -316,11 +312,9 @@ def solve_subproblem(problem):
         np.subtract(dz, rc_s, out=dz)
         np.negative(ds, out=ds)
 
-    def advance(a_p, a_d, direction):
-        """trial_state = state + (a_p on x and s, a_d on z) * direction."""
-        steps[: n + p] = a_p
-        steps[n + p :] = a_d
-        np.multiply(steps, direction, out=trial_state)
+    def advance(a, direction):
+        """trial_state = state + a * direction."""
+        np.multiply(direction, a, out=trial_state)
         np.add(state, trial_state, out=trial_state)
 
     reason = "cap"
@@ -362,15 +356,15 @@ def solve_subproblem(problem):
 
         mu = gap / p
         # Predictor: pure Newton step toward complementarity zero. The gap it
-        # would reach, (s + a_s ds).(z + a_z dz), is expanded into three dots,
-        # so no trial point is formed.
+        # would reach, (s + a ds).(z + a dz), is expanded into three dots, so
+        # no trial point is formed.
         np.multiply(s, z, out=sz)
         newton(r_p, sz, pred_parts)
         dx_a, ds_a, dz_a = pred_parts
-        step_s, step_z = _step_lengths(state[n:], pred[n:], p, ratios)
-        a_s, a_z = min(1.0, step_s), min(1.0, step_z)
-        gap_aff = gap + a_z * float(s.dot(dz_a)) + a_s * float(ds_a.dot(z))
-        mu_aff = (gap_aff + a_s * a_z * float(ds_a.dot(dz_a))) / p
+        step_a = _step_length(state[n:], pred[n:], ratios)
+        a = min(1.0, step_a)
+        gap_aff = gap + a * (float(s.dot(dz_a)) + float(ds_a.dot(z)))
+        mu_aff = (gap_aff + a * a * float(ds_a.dot(dz_a))) / p
         sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0.0 else 0.0
 
         # Corrector: complementarity second-order term plus recentring, and
@@ -385,19 +379,20 @@ def solve_subproblem(problem):
         if not np.isfinite(corr).all():
             reason = "non-finite"
             break
-        a_p, a_d = _step_lengths(state[n:], corr[n:], p, ratios)
+        step_c = _step_length(state[n:], corr[n:], ratios)
 
         # Centering and second-order terms may raise the raw KKT residual a
         # little; that is normal. A blow-up means the step left the region
         # where the ball linearization is any good, so take the predictor
-        # step instead, at the same fraction to the boundary. It is not
+        # step instead, at the same fraction to the boundary; on real inputs
+        # only near-duplicate vectors' tiny trust regions need it. It is not
         # tested: a damped search on it gave up on near-tie instances, where
         # the full step goes on to certify.
         phi0 = phi
-        advance(min(1.0, eta * a_p), min(1.0, eta * a_d), corr)
+        advance(min(1.0, eta * step_c), corr)
         gap, phi = evaluate()
         if not math.isfinite(phi) or phi > 10.0 * phi0 + _TOL:
-            advance(min(1.0, eta * step_s), min(1.0, eta * step_z), pred)
+            advance(min(1.0, eta * step_a), pred)
             gap, phi = evaluate()
         state[:] = trial_state
 

@@ -534,45 +534,45 @@ class TestPinnedOutputs:
 
     PINS = {
         "adapt-images/frame_m4_n8_seed0_nonneg_adapt_trace.csv":
-            "f09ff0b929baf19fec805b3d0a541c574c6473c8b06e63a1e74ffd8a714f8d9e",
+            "47486027fbeb69ff9309a1b492da9973ff2a4806a9fbfce80ce8aeca6e8ec290",
         "adapt-images/frame_m4_n8_seed0_nonneg_adapted.frame":
-            "8ae7db42c64b581ff4233ebbee4b7cc0586b30700a96581b790b2b859b0c9fc8",
+            "7ccd3ff9e2cb141cedfac910fecf1d740d3dd2712616a9b8f89450d2f525e426",
         "adapt/frame_m5_n10_seed1_adapt_trace.csv":
-            "92fdcf52a467413a16e3b32e946902dc4177d1b023afd28036fafc685170ee37",
+            "492ecbd73c6079b68cf84cc6d29fd4019cbf34de80aaa1693c77afab4fbea370",
         "adapt/frame_m5_n10_seed1_adapted.frame":
-            "7337ba26a0dab88566ba32cfab46b30564ff4ed027e404cbf5af9ca15875c102",
+            "11a32366423ea12d54cf27790bafb0052884a17491d8fb79c57f6f3543df9911",
         "config/frame_m4_n8_seed3.frame":
-            "0f1db7c06d86dfa98cf7c8f37f8d4f83e04ba9878afe03abd425f6ee748ead9b",
+            "23ae58b09da8282e66366089d13545b16c14175be18b7d5f0c13f42d836b8c8c",
         "config/frame_m4_n8_seed4.frame":
-            "122bf6a157890e8732f303fe3c73f252c97e280701133fbadbc0d52a9e30620b",
+            "3e3d0da7938d26092cd3e211219083ba86e8e47b8768624dac829bbf53130046",
         "config/manifest_m4_n8_seed3.json":
-            "117c7c11ee1b0d0e24c38989878c34d0a72a401de2cba6bbc49177868222f2cb",
+            "572f8a38c297e9c47400d9b43317dc29cd89eaa72f7aa9a2239a291ec63e64fa",
         "config/manifest_m4_n8_seed4.json":
-            "49f2a0c833c6f1326f2f8bea0e46f883d9b8998f72ac5f8a567b19ba7c2e32a8",
+            "bcdbe1ce3edb9f96e16a44376555a4dc9e0794618e83c78e0a41f73f5fbcda87",
         "cs/cs_bench.csv":
-            "a53d336b776b0a06204382fca509f0a0460f91a24c8bf0ce4f1220a45ef570df",
+            "36fe740b27115251ac3c385dd04a90d43015643e1878a668fd77beba77b256e8",
         "cs/cs_bench.svg":
-            "d4e89e1225279cfd445b19d1c5df4ecbf965fb069de8959124993cba2a6d1c14",
+            "d339018447d99844b91b694227c350876d554b99a86f837f8b2b128629375f19",
         "cs/sensing_m6_n16.frame":
-            "5d2dd89ac3c45309a7bdeeb01616cf7ccea9843ebad399c213f0a14236571d61",
+            "23a1a63d5554d4267d116f67e6f598ac5989f1c47e58a91db13ccbc40fd1fb8b",
         "cs/sensing_m8_n16.frame":
-            "1c8c9aed1c856796e6901a461e152a0f8954d6c9c23447da346fe51299c4ea56",
+            "2a57aeb3b3bc954f3daa2567b81bf63643e870b5637375b5a2788102b27974fe",
         "design/frame_m5_n10_seed1.frame":
-            "44383b3fd8a7426cd1fe492c605abb547e9fc907da6ce464d0c3cf04c74e57de",
+            "455798f66ccf85c3c035d75dcc419209c8e3ebe5447bf13daeb217cef78f00a2",
         "design/frame_m5_n10_seed2.frame":
-            "95c4b104cce891442c3d07a952ed4153fda336417a2c6737d2ed639c1986b55a",
+            "d325bf70462120b50b9e0e9caed7e7bafb438dc065a148a3681ab18c648d8bc0",
         "design/manifest_m5_n10_seed1.json":
-            "5e86437c3ab03a1258a6bf04d507a940cfb7ee1f1c9be8e11538e6d051983ecb",
+            "9013e0119ec4eaad69df6db563db71b1130970042de2a6207b1b1f48992fa0a7",
         "design/manifest_m5_n10_seed2.json":
-            "3530a23a83765c0db5785d221c832fef91056851828190638b29da8bef9fd8b4",
+            "a71d86405e9f0b8b38ea9d22881efbe385cc819c7cb255dcd4f0830cae07ccf7",
         "nonneg/frame_m4_n8_seed0_nonneg.frame":
-            "bf3174e2b214481cefca83db8fcb5a9b40ecf2d1eb1e09472978242a2fd3940d",
+            "e596073d0dde34ef0fb4675bb11e5ea435573b1fb8a62c8902748c61be7509d0",
         "nonneg/manifest_m4_n8_seed0_nonneg.json":
-            "cfecbbfb95138cf7d33612c8b2a91372a4819407180f106b3c9f840e7124b643",
+            "81413009dedc37e4220d40309393526beff1ba1083e466ca8f0363d962a258c8",
         "profile.csv":
-            "c5b44afeaf2f815380fe3e0e14607042c872902936a6e215c247303554507b60",
+            "097f620d3d26cc807863d045e6dd262ba516e1ce26e5ed7f526c86453828c039",
         "stdout":
-            "6a76da35c454659a8592f4814937b9aeffc7aa7ed1f9529cfac49aa601c7e1bc",
+            "7ccc56566fe79c5d96da56fc7dea788e589fa2a732ff8b57a8d9e6e476e7a591",
     }
 
     @staticmethod

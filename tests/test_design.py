@@ -428,13 +428,13 @@ class TestPinnedRuns:
     PINS = {
         "signed-15x30": (
             DesignConfig(m=15, n_vectors=30, sweeps=12, seed=101, eps_stop=1e-3),
-            "940c39be2dd3188568f2db2d1f728fd5aa76efc784d22763f310316c7815deff",
+            "c333b556cf196c7012b9382f5f70f671dc414c5b425b3caecbc86bb68e77a7a2",
             [0] * 12,
             "tie_skips",
         ),
         "nonneg-20x40": (
             DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True),
-            "9ba5d7080febc059060b0f09f7ebc00a9c2657a937ce7b463bd5ff8dcc69a4aa",
+            "694b9072418e357ead1014449e7a1a608819b5d84ab2ed2be10751035ce59177",
             [0] * 8,
             "solver_stalls",
         ),

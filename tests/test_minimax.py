@@ -364,7 +364,7 @@ class TestFactorization:
         ndarray methods (``dot``, ``all``, ``copy``, ``fill``) or indexing,
         so the count is a floor on what an iteration dispatches. Each
         solve's set-up and packaging calls are spread over its iterations.
-        The kernel makes 43.5 such calls per iteration on this frame; the
+        The kernel makes 41.2 such calls per iteration on this frame; the
         ceiling leaves about 6% of room above that.
         """
         problems = [subproblem_for(frame, i) for i in range(1, frame.n_vectors)]
@@ -392,7 +392,7 @@ class TestFactorization:
         monkeypatch.setattr(incoframes.minimax, "dpotrf", Counted(incoframes.minimax.dpotrf))
         monkeypatch.setattr(incoframes.minimax, "dpotrs", Counted(incoframes.minimax.dpotrs))
         iterations = sum(solve_subproblem(problem).iterations for problem in problems)
-        assert calls / iterations <= 46.0
+        assert calls / iterations <= 44.0
 
 
 class TestPinnedSolves:
@@ -410,17 +410,17 @@ class TestPinnedSolves:
     PINS = {
         "signed-15x30": (
             15, 30, 1, False,
-            "127c8c9fa6967899e5efd11c156a8841c3cb4ff00f699ebfe0fea9b1aab639c5",
+            "0941ac06c2b27d0966824982b1b6d559306473fad0278ccbf8c14dd8ed182657",
         ),
         "nonneg-20x40": (
             20, 40, 2, True,
-            "043abcd1fe8efcb8fcfb346b823591e332746fe0316f4d15191b4a85cfc40c92",
+            "c92517387c9f4915ddf2ae0ae8bb6b8b1e37883e0e17bd10e5b77518b172da02",
         ),
         # p = 128 rows around n = 65 unknowns: the normal-matrix kernel at
         # the size where its products, not dispatch, carry the cost.
         "signed-64x128": (
             64, 128, 3, False,
-            "d709cb88bb2561cea736f8717f5aa00bbbfbb3f7f17c5b784dace241a409c9a8",
+            "192b866913da0a1d6000359b20d1e9c72eb751a25d27f06a6ec7b9ecc434abcf",
         ),
     }
 
@@ -448,15 +448,13 @@ def max_step_reference(v, dv):
 
 
 class TestStepLengths:
-    """The one-pass ratio test over (s, z) equals the textbook test on each half, bit for bit."""
+    """The ratio test over all of (s, z) equals the textbook test, bit for bit."""
 
     @staticmethod
     def both(s, z, ds, dz):
-        p = s.size
-        got = incoframes.minimax._step_lengths(
-            np.concatenate([s, z]), np.concatenate([ds, dz]), p, np.empty(2 * p)
-        )
-        return got, (max_step_reference(s, ds), max_step_reference(z, dz))
+        w, dw = np.concatenate([s, z]), np.concatenate([ds, dz])
+        got = incoframes.minimax._step_length(w, dw, np.empty(w.size))
+        return got, max_step_reference(w, dw)
 
     def test_random_directions(self):
         rng = np.random.default_rng(5)
@@ -466,13 +464,13 @@ class TestStepLengths:
                 ds, dz = rng.normal(0, 2, p), rng.normal(0, 2, p)
                 got, want = self.both(s, z, ds, dz)
                 assert got == want
-                # The same floats, not merely equal ones: -0.0 and 0.0 compare equal.
-                assert [math.copysign(1.0, a) for a in got] == [math.copysign(1.0, b) for b in want]
+                # The same float, not merely an equal one: -0.0 and 0.0 compare equal.
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize(
         "ds, dz",
         [
-            ([0.5, 2.0, 0.0], [1.0, 3.0, 4.0]),  # no negative entry in either half
+            ([0.5, 2.0, 0.0], [1.0, 3.0, 4.0]),  # no negative entry
             ([-1.0, -2.0, -3.0], [-0.5, -0.25, -8.0]),  # all negative
             ([-0.0, 0.0, -1.0], [0.0, -0.0, -0.0]),  # signed zeros are not negative
             ([np.nan, -1.0, 2.0], [np.nan, np.nan, np.nan]),  # NaN entries drop out
@@ -485,4 +483,4 @@ class TestStepLengths:
         z = np.array([2.0, 1e-12, 5.0])
         got, want = self.both(s, z, np.array(ds), np.array(dz))
         assert got == want
-        assert [math.copysign(1.0, a) for a in got] == [math.copysign(1.0, b) for b in want]
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
