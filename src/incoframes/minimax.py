@@ -23,7 +23,6 @@ candidate solution satisfies that system.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,23 +35,6 @@ from .frames import _UNIT_TOL
 # solve; a certified solution keeps each KKT residual within 10 * _TOL.
 _TOL = 1e-8
 _MAX_ITER = 100  # interior-point iteration cap
-_MODULE = sys.modules[__name__]
-
-
-def __getattr__(name):
-    """Import LAPACK's ``dpotrf`` or ``dpotrs`` on first use.
-
-    Importing ``scipy.linalg`` takes about 0.2 s and 30 MB, and only a solve
-    needs it: ``analyze``, ``adapt`` and random-source ``cs-bench`` never
-    factor anything. Each name loads alone, so a replacement set for one of
-    them stays in place.
-    """
-    if name not in ("dpotrf", "dpotrs"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import lapack
-
-    value = globals()[name] = getattr(lapack, name)
-    return value
 
 
 @dataclass(frozen=True)
@@ -204,7 +186,9 @@ def solve_subproblem(problem):
     NumericsFailure
         If LAPACK rejects an argument, which no input data can cause.
     """
-    dpotrf, dpotrs = _MODULE.dpotrf, _MODULE.dpotrs  # once per solve; see __getattr__
+    # Importing scipy.linalg takes about 0.2 s and 30 MB, and only a solve
+    # needs it: analyze, adapt and random-source cs-bench never factor anything.
+    from scipy.linalg.lapack import dpotrf, dpotrs
     h = problem.reference
     nb = problem.neighbors
     big_t = problem.radius_sq

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import incoframes.design
 import incoframes.minimax
@@ -315,7 +316,7 @@ class TestFactorization:
         ids=["factor-fails", "nan-factor"],
     )
     def test_failed_factor_stalls_with_partial_solution(self, problem, monkeypatch, factor, reason):
-        monkeypatch.setattr(incoframes.minimax, "dpotrf", lambda a, **kw: factor(a))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kw: factor(a))
         with pytest.raises(SolverStall) as info:
             solve_subproblem(problem)
         assert info.value.reason == reason
@@ -331,12 +332,12 @@ class TestFactorization:
         assert info.value.solution.iterations == 2
 
     def test_illegal_lapack_argument_raises(self, problem, monkeypatch):
-        monkeypatch.setattr(incoframes.minimax, "dpotrf", lambda a, **kw: (a, -1))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kw: (a, -1))
         with pytest.raises(NumericsFailure):
             solve_subproblem(problem)
 
     def test_at_most_one_factorization_and_two_solves_per_iteration(self, frame, monkeypatch):
-        real_trf, real_trs = incoframes.minimax.dpotrf, incoframes.minimax.dpotrs
+        real_trf, real_trs = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dpotrs
         counts = {"factored": 0, "solved": 0}
 
         def dpotrf(a, **kw):
@@ -347,8 +348,8 @@ class TestFactorization:
             counts["solved"] += 1
             return real_trs(c, b, **kw)
 
-        monkeypatch.setattr(incoframes.minimax, "dpotrf", dpotrf)
-        monkeypatch.setattr(incoframes.minimax, "dpotrs", dpotrs)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", dpotrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", dpotrs)
         for i in range(1, frame.n_vectors):
             counts.update(factored=0, solved=0)
             sol = solve_subproblem(subproblem_for(frame, i))
@@ -389,8 +390,8 @@ class TestFactorization:
                 return Counted(attr) if callable(attr) and not isinstance(attr, type) else attr
 
         monkeypatch.setattr(incoframes.minimax, "np", NumpyProxy())
-        monkeypatch.setattr(incoframes.minimax, "dpotrf", Counted(incoframes.minimax.dpotrf))
-        monkeypatch.setattr(incoframes.minimax, "dpotrs", Counted(incoframes.minimax.dpotrs))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", Counted(scipy.linalg.lapack.dpotrf))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", Counted(scipy.linalg.lapack.dpotrs))
         iterations = sum(solve_subproblem(problem).iterations for problem in problems)
         assert calls / iterations <= 44.0
 
