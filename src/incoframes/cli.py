@@ -101,19 +101,9 @@ def _cmd_design(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def attempt(cfg):
-        # A failure comes back as a value, so the seeds before it are still written.
-        try:
-            return _timed_run(cfg)
-        except Exception as exc:
-            return exc
-
     initial_mus, final_mus, final_avgs = [], [], []
     tag = "_nonneg" if args.nonneg else ""
-    for cfg, result in zip(configs, _fork_map(attempt, configs)):
-        if isinstance(result, Exception):
-            raise result
-        frame, report, wall = result
+    for cfg, (frame, report, wall) in zip(configs, _fork_map(_timed_run, configs)):
         fm = report.final_metrics
         initial_mus.append(report.raw_coherence)
         final_mus.append(fm.mu)

@@ -275,24 +275,26 @@ def _share(fn, items):
     return pairs
 
 
-def _fork_map(fn, items, jobs=None):
-    """``[fn(x) for x in items]``, computed across every usable core.
+def _fork_map(fn, items):
+    """Yield ``fn(x)`` for each of ``items`` in order, computed across every usable core.
 
-    ``jobs`` defaults to the CPUs in this process's affinity mask and is
-    capped at one per item. Forked worker w (1 <= w < jobs) computes
-    ``items[w::jobs]`` and the calling process ``items[0::jobs]``. A worker
-    pickles its ``_share`` into a pipe and leaves through ``os._exit``, so no
-    exit hook runs and no inherited output buffer is flushed twice. Results
-    come back in item order, and the first exception in item order is
-    raised, as the serial loop would raise it. Nothing is pickled on the way
-    out, so ``fn`` may be a closure. One share runs in this process, with no
-    fork, when ``os.fork`` is missing or other threads run: a forked copy of
-    a threaded process can deadlock. Every child is waited for; if this
-    process fails first, the children still running are killed.
+    There is one share per CPU in this process's affinity mask, at most one
+    per item. Forked worker w (1 <= w < jobs) computes ``items[w::jobs]``
+    and the calling process ``items[0::jobs]``, as well as the share of
+    every worker that could not be started because ``os.pipe`` or
+    ``os.fork`` raised ``OSError`` (a process or descriptor limit). A
+    worker pickles its ``_share`` into a pipe and leaves through
+    ``os._exit``, so no exit hook runs and no inherited output buffer is
+    flushed twice. Nothing is pickled on the way out, so ``fn`` may be a
+    closure. Only one share runs, in this process, when ``os.fork`` is
+    missing or other threads run: a forked copy of a threaded process can
+    deadlock. Results are yielded in item order once every child has been
+    waited for, and the first failed item raises its exception in place of
+    its result, as the serial loop would. If this process fails first, the
+    children still running are killed.
     """
     items = list(items)
-    if jobs is None:
-        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if not hasattr(os, "fork") or threading.active_count() > 1:
         jobs = 1
     jobs = max(1, min(jobs, len(items)))
@@ -300,8 +302,16 @@ def _fork_map(fn, items, jobs=None):
     children = {}  # pid -> (worker number, read end of its pipe), until waited for
     try:
         for w in range(1, jobs):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
             if pid == 0:
                 status = 1
                 try:
@@ -313,7 +323,10 @@ def _fork_map(fn, items, jobs=None):
                     os._exit(status)
             children[pid] = (w, read_fd)
             os.close(write_fd)
-        shares[0] = _share(fn, items[0::jobs])
+        # Workers start in order and stop at the first that cannot, so the
+        # ones not started are the last: their shares run here, after ours.
+        for w in [0, *range(len(children) + 1, jobs)]:
+            shares[w] = _share(fn, items[w::jobs])
         for pid, (w, read_fd) in list(children.items()):
             children[pid] = (w, None)  # the file object owns the descriptor now
             with os.fdopen(read_fd, "rb") as pipe:
@@ -332,11 +345,9 @@ def _fork_map(fn, items, jobs=None):
             os.waitpid(pid, 0)
             if read_fd is not None:
                 os.close(read_fd)
-    results = []
     for i in range(len(items)):
         # A share stops at its first exception, which comes before any item it skipped.
         ok, value = shares[i % jobs][i // jobs]
         if not ok:
             raise value
-        results.append(value)
-    return results
+        yield value

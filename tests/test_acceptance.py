@@ -47,7 +47,7 @@ def timed_map(fn, items):
     seconds, each item's seconds, and the pool's wall time. ``fn`` returns
     its seconds last."""
     started = time.perf_counter()
-    timed = _fork_map(fn, items)
+    timed = list(_fork_map(fn, items))
     wall = time.perf_counter() - started
     return [t[:-1] for t in timed], [t[-1] for t in timed], wall
 

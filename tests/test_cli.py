@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through in-process main() calls."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -130,6 +131,10 @@ class TestParallelRuns:
     print what one run after another writes and prints."""
 
     DESIGN = ("design", "--m", "5", "--N", "10", "--K", "6", "--eps-stop", "1e-3")
+    CS_BENCH = (
+        "cs-bench", "--N", "16", "--M", "24", "--sparsity", "2", "--trials", "5",
+        "--seed", "1", "--design-sweeps", "3", "--sources", "designed-fresh,random-gaussian",
+    )
 
     def test_seed_list_matches_single_seed_calls(self, tmp_path, capsys):
         assert run_cli(*self.DESIGN, "--seeds", "1..3", "--out", str(tmp_path / "all")) == 0
@@ -144,6 +149,14 @@ class TestParallelRuns:
         assert files == single_files
         assert printed.splitlines()[:3] == single_lines
 
+    @staticmethod
+    def on_cpus(count, monkeypatch, capsys, out, *argv):
+        """Exit code, stderr and ``outputs`` of one command on ``count`` CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        code = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        return code, captured.err, outputs(out, captured.out)
+
     def test_failed_seed_writes_exactly_the_seeds_before_it(self, tmp_path, monkeypatch, capsys):
         real_run = incoframes.cli.run
 
@@ -154,27 +167,56 @@ class TestParallelRuns:
 
         # Patched before the fork, so the worker that runs seed 2 refuses it too.
         monkeypatch.setattr(incoframes.cli, "run", refuse_seed_2)
-        results = {}
-        for name, jobs in (("forked", None), ("serial", 1)):
-            monkeypatch.setattr(
-                incoframes.cli, "_fork_map",
-                lambda fn, items, jobs=jobs: incoframes.design._fork_map(fn, items, jobs),
-            )
-            out = tmp_path / name
-            code = run_cli(*self.DESIGN, "--seeds", "1..3", "--out", str(out))
-            captured = capsys.readouterr()
-            results[name] = (code, captured.err, outputs(out, captured.out))
-        code, err, (files, printed) = results["forked"]
+        argv = (*self.DESIGN, "--seeds", "1..3")
+        forked = self.on_cpus(2, monkeypatch, capsys, tmp_path / "forked", *argv)
+        code, err, (files, printed) = forked
         assert code == 4 and "numeric failure: refused" in err
         assert sorted(files) == ["frame_m5_n10_seed1.frame", "manifest_m5_n10_seed1.json"]
         assert printed.startswith("seed 1:") and printed.count("\n") == 1
-        assert results["forked"] == results["serial"]
+        assert forked == self.on_cpus(1, monkeypatch, capsys, tmp_path / "serial", *argv)
+
+    def test_failed_m_writes_exactly_the_ms_before_it(self, tmp_path, monkeypatch, capsys):
+        real_run = incoframes.cli.run
+
+        def refuse_m_8(cfg):
+            if cfg.m == 8:
+                raise RankDeficient("refused")
+            return real_run(cfg)
+
+        monkeypatch.setattr(incoframes.cli, "run", refuse_m_8)
+        argv = (*self.CS_BENCH, "--m-list", "6,8")
+        forked = self.on_cpus(2, monkeypatch, capsys, tmp_path / "forked", *argv)
+        code, err, (files, printed) = forked
+        assert code == 4 and "numeric failure: refused" in err
+        assert sorted(files) == ["sensing_m6_n16.frame"]
+        assert printed.startswith("m=  6") and printed.count("\n") == 2
+        assert forked == self.on_cpus(1, monkeypatch, capsys, tmp_path / "serial", *argv)
+
+    @pytest.mark.parametrize("count, failing_call", [(2, 1), (3, 2)],
+                             ids=["first-fork", "second-fork"])
+    def test_failed_fork_runs_the_seeds_here(self, tmp_path, monkeypatch, capsys, count,
+                                            failing_call):
+        real_fork = os.fork
+        calls = 0
+
+        def refuse_one():
+            nonlocal calls
+            calls += 1
+            if calls == failing_call:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        argv = (*self.DESIGN, "--seeds", "1..3")
+        serial = self.on_cpus(1, monkeypatch, capsys, tmp_path / "serial", *argv)
+        assert serial[0] == 0
+        monkeypatch.setattr(os, "fork", refuse_one)
+        descriptors = len(os.listdir("/dev/fd"))
+        assert self.on_cpus(count, monkeypatch, capsys, tmp_path / "forked", *argv) == serial
+        assert calls == failing_call
+        assert len(os.listdir("/dev/fd")) == descriptors
 
     def test_cs_bench_m_list_matches_single_m_calls(self, tmp_path, capsys):
-        args = (
-            "cs-bench", "--N", "16", "--M", "24", "--sparsity", "2", "--trials", "5",
-            "--seed", "1", "--design-sweeps", "3", "--sources", "designed-fresh,random-gaussian",
-        )
+        args = self.CS_BENCH
         assert run_cli(*args, "--m-list", "6,8", "--out", str(tmp_path / "both")) == 0
         both = (tmp_path / "both" / "cs_bench.csv").read_text().splitlines()
         lines = capsys.readouterr().out.splitlines()

@@ -331,8 +331,13 @@ class TestRun:
         assert layouts == [True] * 13
 
 
+def cpus(monkeypatch, count):
+    """Give ``_fork_map`` an affinity mask of ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestForkMap:
-    """``_fork_map`` returns the serial loop's results and raises its first
+    """``_fork_map`` hands over the serial loop's results and raises its first
     exception for any number of forked workers, and leaves no child behind."""
 
     @pytest.fixture(autouse=True)
@@ -349,7 +354,7 @@ class TestForkMap:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_same_ordered_results_for_any_job_count(self):
+    def test_same_ordered_results_for_any_job_count(self, monkeypatch):
         seeds = range(1, 8)
         want = [run_in(4, 8, seed).vectors.tobytes() for seed in seeds]
 
@@ -357,7 +362,13 @@ class TestForkMap:
             return os.getpid(), run_in(4, 8, seed).vectors.tobytes()
 
         for jobs in (1, 2, 3):
-            got = _fork_map(pid_and_frame, seeds, jobs)
+            cpus(monkeypatch, jobs)
+            got = []
+            for result in _fork_map(pid_and_frame, seeds):
+                # Every child has been waited for before the first result.
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+                got.append(result)
             assert [frame for _, frame in got] == want
             pids = [pid for pid, _ in got]
             assert pids[0::jobs] == [os.getpid()] * len(pids[0::jobs])
@@ -365,7 +376,7 @@ class TestForkMap:
 
     @pytest.mark.parametrize("jobs, bad", [(1, 4), (2, 4), (2, 3), (3, 4)],
                              ids=["serial", "caller-share", "worker-share", "three-shares"])
-    def test_first_exception_in_item_order(self, jobs, bad):
+    def test_first_exception_in_item_order(self, monkeypatch, jobs, bad):
         def fn(x):
             if x == bad:
                 raise SolverStall(f"stalled at {x}", reason="cap")
@@ -373,38 +384,69 @@ class TestForkMap:
                 raise ValueError(x)  # later in item order, so never raised
             return x
 
+        cpus(monkeypatch, jobs)
+        got = []
         with pytest.raises(SolverStall) as info:
-            _fork_map(fn, range(9), jobs)
+            for x in _fork_map(fn, range(9)):
+                got.append(x)
+        assert got == list(range(bad))
         assert str(info.value) == f"stalled at {bad}"
         assert info.value.reason == "cap"
 
-    def test_worker_that_dies_raises(self):
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["first-fork", "second-fork"])
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_workers_that_cannot_start_run_here(self, monkeypatch, failing, failing_call):
+        real = getattr(os, failing)
+        calls = 0
+
+        def refuse_one(*args):
+            nonlocal calls
+            calls += 1
+            if calls == failing_call:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real(*args)
+
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, failing, refuse_one)
+        descriptors = len(os.listdir("/dev/fd"))
+        got = list(_fork_map(lambda x: (x, os.getpid()), range(7)))
+        assert len(os.listdir("/dev/fd")) == descriptors
+        assert [x for x, _ in got] == list(range(7))
+        # Worker 1 runs items 1 and 4 when the second call fails; every share
+        # that could not start is computed in this process.
+        here = [x for x, pid in got if pid == os.getpid()]
+        assert here == ([0, 2, 3, 5, 6] if failing_call == 2 else list(range(7)))
+
+    def test_worker_that_dies_raises(self, monkeypatch):
         def fn(x):
             if x == 1:
                 os._exit(3)
             return x
 
+        cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="status 3"):
-            _fork_map(fn, range(4), 2)
+            list(_fork_map(fn, range(4)))
 
-    def test_interrupt_in_caller_kills_workers(self):
+    def test_interrupt_in_caller_kills_workers(self, monkeypatch):
         def fn(x):
             if x == 0:
                 raise KeyboardInterrupt
             time.sleep(30)
             return x
 
+        cpus(monkeypatch, 2)
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            _fork_map(fn, range(2), 2)
+            list(_fork_map(fn, range(2)))
         assert time.perf_counter() - started < 10
 
-    def test_no_fork_while_other_threads_run(self):
+    def test_no_fork_while_other_threads_run(self, monkeypatch):
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
+        cpus(monkeypatch, 2)
         try:
-            pids = _fork_map(lambda x: os.getpid(), range(4), 2)
+            pids = list(_fork_map(lambda x: os.getpid(), range(4)))
         finally:
             stop.set()
             thread.join(10)
