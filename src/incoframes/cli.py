@@ -100,6 +100,9 @@ def _cmd_design(args):
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # The first solve would import LAPACK inside a timed run, once in every
+    # forked worker: load it once, before any run is timed or forked.
+    from scipy.linalg import lapack  # noqa: F401
 
     initial_mus, final_mus, final_avgs = [], [], []
     tag = "_nonneg" if args.nonneg else ""

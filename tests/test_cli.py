@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +216,22 @@ class TestParallelRuns:
         assert self.on_cpus(count, monkeypatch, capsys, tmp_path / "forked", *argv) == serial
         assert calls == failing_call
         assert len(os.listdir("/dev/fd")) == descriptors
+
+    def test_design_loads_lapack_before_any_run(self, tmp_path):
+        # A fresh interpreter: the first solve must not import LAPACK inside
+        # a timed run, nor in every forked worker.
+        code = (
+            "import sys, incoframes.cli as cli\n"
+            "fork_map = cli._fork_map\n"
+            "def spy(fn, items):\n"
+            "    print('scipy.linalg.lapack' in sys.modules)\n"
+            "    return fork_map(fn, items)\n"
+            "cli._fork_map = spy\n"
+            f"cli.main(['design', '--m', '3', '--N', '4', '--K', '1', '--out', {str(tmp_path)!r}])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert proc.stdout.split()[0] == "True"
 
     def test_cs_bench_m_list_matches_single_m_calls(self, tmp_path, capsys):
         args = self.CS_BENCH
