@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, RankDeficient
+from .errors import InvalidInput, NumericsFailure, RankDeficient
 from .frames import Frame, mutual_coherence, random_unit_frame, unit_columns
 from .linalg import least_squares, svd
 
@@ -192,10 +192,45 @@ class AdaptationRun:
 
 
 def _sparse_codes(f_mat, y, s):
-    x = np.zeros((f_mat.shape[1], y.shape[1]))
-    for j in range(y.shape[1]):
-        sup, coef = omp(f_mat, y[:, j], s)
-        x[sup, j] = coef
+    """``omp(f_mat, y[:, j], s)`` for every column j, pursued together.
+
+    Samples still pursuing after k picks all hold k atoms, so each step takes
+    one product with the dictionary and one stacked SVD of their selections.
+    The SVD applies lstsq's rank rule and gives the residual y - U U^T y.
+    The coefficients come from the ``least_squares`` call omp's last refit
+    makes, so the codes equal the per-column loop's bit for bit.
+    """
+    m, n = y.shape
+    supports = np.zeros((n, s), dtype=int)
+    sizes = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    residual = y.T.copy()
+    for k in range(s):
+        going = np.linalg.norm(residual, axis=1) >= _RESIDUAL_TOL
+        active, residual = active[going], residual[going]
+        # A stack of matrix-vector products, not one matrix product: omp's
+        # ``d.T @ residual`` rounds the same way, so exact ties (parallel
+        # atoms) fall to the same index.
+        picks = np.argmax(np.abs(f_mat.T @ residual[:, :, None]), axis=1)[:, 0]
+        fresh = ~(supports[active, :k] == picks[:, None]).any(axis=1)
+        active, picks = active[fresh], picks[fresh]
+        if active.size == 0:
+            break
+        supports[active, k] = picks
+        try:
+            u, sv, _ = np.linalg.svd(f_mat.T[supports[active, : k + 1]].transpose(0, 2, 1),
+                                     full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsFailure(f"SVD did not converge: {exc}") from exc
+        full_rank = sv[:, -1] > np.finfo(float).eps * max(m, k + 1) * sv[:, 0]
+        active, u = active[full_rank], u[full_rank]
+        sizes[active] = k + 1
+        y_act = y.T[active]
+        residual = y_act - np.einsum("imk,ik->im", u, np.einsum("imk,im->ik", u, y_act))
+    x = np.zeros((f_mat.shape[1], n))
+    for j in np.flatnonzero(sizes):
+        sup = supports[j, : sizes[j]]
+        x[sup, j] = least_squares(f_mat[:, sup], y[:, j])
     return x
 
 
@@ -228,6 +263,8 @@ def adapt_dictionary(y, frame, s, iterations):
         raise InvalidInput(f"data must be ({frame.m}, n>=1), got shape {y.shape}")
     if not np.isfinite(y).all():
         raise InvalidInput("data contains non-finite entries")
+    if not (0 <= s <= frame.m):
+        raise InvalidInput(f"sparsity must satisfy 0 <= s <= m, got s={s}, m={frame.m}")
     if iterations < 0:
         raise InvalidInput(f"iterations must be >= 0, got {iterations}")
     y_norm = float(np.linalg.norm(y))

@@ -219,19 +219,22 @@ class TestParallelRuns:
 
     def test_design_loads_lapack_before_any_run(self, tmp_path):
         # A fresh interpreter: the first solve must not import LAPACK inside
-        # a timed run, nor in every forked worker.
-        code = (
-            "import sys, incoframes.cli as cli\n"
-            "fork_map = cli._fork_map\n"
-            "def spy(fn, items):\n"
-            "    print('scipy.linalg.lapack' in sys.modules)\n"
-            "    return fork_map(fn, items)\n"
-            "cli._fork_map = spy\n"
-            f"cli.main(['design', '--m', '3', '--N', '4', '--K', '1', '--out', {str(tmp_path)!r}])\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, timeout=60)
-        assert proc.stdout.split()[0] == "True"
+        # a timed run, nor in every forked worker. cs-bench's designed-fresh
+        # source designs frames in its forked workers too.
+        for argv in (("design", "--m", "3", "--N", "4", "--K", "1"),
+                     (*self.CS_BENCH, "--m-list", "6,8")):
+            code = (
+                "import sys, incoframes.cli as cli\n"
+                "fork_map = cli._fork_map\n"
+                "def spy(fn, items):\n"
+                "    print('scipy.linalg.lapack' in sys.modules)\n"
+                "    return fork_map(fn, items)\n"
+                "cli._fork_map = spy\n"
+                f"cli.main([*{argv!r}, '--out', {str(tmp_path / argv[0])!r}])\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, timeout=60)
+            assert proc.stdout.split()[0] == "True", argv[0]
 
     def test_cs_bench_m_list_matches_single_m_calls(self, tmp_path, capsys):
         args = self.CS_BENCH

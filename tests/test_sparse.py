@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import incoframes.sparse
 from incoframes import (
     AdaptationRun,
     CsExperiment,
@@ -21,12 +22,20 @@ from incoframes import (
     run_cs_experiment,
 )
 from incoframes.frames import unit_columns
+from incoframes.sparse import _sparse_codes
 
 
 @pytest.fixture(scope="module")
 def designed_20x40():
     frame, _ = run(DesignConfig(m=20, n_vectors=40, sweeps=60, seed=7))
     return frame
+
+
+def rank_2_in_r3(seed=0):
+    """Six unit atoms spanning a plane of R^3, and a target off that plane."""
+    rng = np.random.default_rng(seed)
+    d = unit_columns(rng.standard_normal((3, 2)) @ rng.standard_normal((2, 6)))
+    return d, rng.standard_normal(3)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +102,16 @@ class TestOmp:
         assert sup.tolist() == [4]
         assert abs(coef[0] - 0.9) < 1e-12
 
+    def test_rank_deficient_selection_stops_the_pursuit(self):
+        d, y = rank_2_in_r3()
+        sup, coef = omp(d, y, 3)
+        assert len(sup) == 2
+        residual = y - d[:, sup] @ coef
+        assert np.abs(d.T @ residual).max() < 1e-14
+        # The third pick is a new atom: the pursuit stopped because adding it
+        # made the selection rank deficient, not because it was picked twice.
+        assert int(np.argmax(np.abs(d.T @ residual))) not in sup.tolist()
+
     def test_input_validation(self):
         d = unit_columns(np.random.default_rng(3).standard_normal((5, 8)))
         with pytest.raises(InvalidInput):
@@ -103,6 +122,67 @@ class TestOmp:
             omp(d, np.full(5, np.nan), 2)
         with pytest.raises(InvalidInput):
             omp(np.ones(5), np.ones(5), 1)
+
+
+def _planted(noise):
+    frame = random_sensing_frame(8, 16, seed=6)
+    return frame.vectors, make_planted_dataset(frame, 3, 40, noise, seed=6)[0]
+
+
+def _zero_column():
+    d, y = _planted(0.01)
+    y[:, [0, 7]] = 0.0
+    return d, y
+
+
+def _rank_deficient():
+    d, y = rank_2_in_r3()
+    extra = np.random.default_rng(1).standard_normal((3, 9))
+    return d, np.column_stack([y, d[:, :2] @ [0.5, -1.0], extra])
+
+
+def _parallel_atoms():
+    # Atoms that are multiples of one vector tie up to roundoff.
+    rng = np.random.default_rng(2)
+    d = unit_columns(np.outer(rng.standard_normal(5), rng.standard_normal(9)))
+    return d, rng.standard_normal((5, 12))
+
+
+class TestSparseCodes:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _planted(0.01), lambda: _planted(0.0), _zero_column, _rank_deficient,
+         _parallel_atoms],
+        ids=["planted", "noiseless", "zero-column", "rank-deficient", "parallel-atoms"],
+    )
+    def test_matches_per_column_omp(self, make):
+        d, y = make()
+        m = d.shape[0]
+        for s in sorted({0, 1, min(4, m), m}):
+            loop = np.zeros((d.shape[1], y.shape[1]))
+            for j in range(y.shape[1]):
+                sup, coef = omp(d, y[:, j], s)
+                loop[sup, j] = coef
+            assert np.array_equal(_sparse_codes(d, y, s), loop), s
+
+    def test_one_stacked_pursuit_per_pass(self, monkeypatch):
+        """A pass pursues every sample at once: at most s stacked SVDs and one
+        least-squares refit per coded sample, not s refits per sample."""
+        d, y = _planted(0.01)
+        counts = {"svd": 0, "least_squares": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(incoframes.sparse, "least_squares",
+                            counted("least_squares", incoframes.sparse.least_squares))
+        x = _sparse_codes(d, y, 4)
+        assert counts["svd"] <= 4
+        assert counts["least_squares"] <= int((x != 0).any(axis=0).sum()) <= y.shape[1]
 
 
 class TestCsExperiment:
@@ -182,9 +262,22 @@ class TestAdaptation:
         assert np.array_equal(res.adapted.vectors, designed_8x16.vectors)
         assert np.array_equal(res.rotation, np.eye(8))
 
+    def test_rank_deficient_rounds_stay_rotations(self):
+        # Every sample is a multiple of one atom, so Y X^T F^T has rank 1 in
+        # every round and its SVD has zero singular directions.
+        frame = random_sensing_frame(4, 8, seed=5)
+        y = np.outer(frame.vectors[:, 3], [1.0, -2.0, 0.5, 3.0, -0.25])
+        res = adapt_dictionary(y, frame, s=1, iterations=3)
+        assert res.rank_deficient_steps == [1, 2, 3]
+        assert np.abs(res.rotation.T @ res.rotation - np.eye(4)).max() < 1e-12
+        assert abs(mutual_coherence(res.adapted) - mutual_coherence(frame)) <= 1e-10
+
     def test_input_validation(self, designed_8x16):
         with pytest.raises(InvalidInput):
             adapt_dictionary(np.ones((7, 5)), designed_8x16, 2, 3)
+        for s in (-1, 9):
+            with pytest.raises(InvalidInput):
+                adapt_dictionary(np.ones((8, 5)), designed_8x16, s, 3)
         with pytest.raises(InvalidInput):
             adapt_dictionary(np.zeros((8, 5)), designed_8x16, 2, 3)
         with pytest.raises(InvalidInput):
