@@ -83,35 +83,42 @@ def unit_polar(a):
 
 
 def least_squares(a, b):
-    """Minimum-residual solution of an overdetermined full-rank system.
+    """Minimum-residual solutions of a stack of overdetermined systems.
 
     Parameters
     ----------
-    a : (m, k) array_like
-        Coefficient matrix with k <= m and full column rank.
-    b : (m,) or (m, r) array_like
-        Right-hand side(s).
+    a : (n, m, k) array_like
+        Stack of coefficient matrices with 1 <= k <= m.
+    b : (n, m) array_like
+        One right-hand side per matrix.
 
     Returns
     -------
-    numpy.ndarray
-        ``x`` minimizing ``||a @ x - b||_2``; the residual is orthogonal to
-        the column span of ``a``.
+    (x, full_rank)
+        ``x`` is (n, k); row i minimizes ``||a[i] @ x[i] - b[i]||_2``, so its
+        residual is orthogonal to the column span of ``a[i]``. ``full_rank``
+        is (n,) boolean, lstsq's rank rule from one stacked SVD: the smallest
+        singular value exceeds ``eps * m`` times the largest. Rows of ``x``
+        for rank-deficient matrices are zero.
     """
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not np.isfinite(b).all():
-        raise InvalidInput("b contains non-finite entries")
-    if b.shape[0] != a.shape[0]:
+    if a.ndim != 3 or a.shape[0] < 1 or not 1 <= a.shape[2] <= a.shape[1]:
+        raise InvalidInput(f"a must be an (n, m, k) stack with n >= 1, 1 <= k <= m, got {a.shape}")
+    n, m, k = a.shape
+    if b.shape != (n, m):
         raise InvalidInput(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    if a.shape[1] > a.shape[0]:
-        raise InvalidInput(f"least_squares expects k <= m, got shape {a.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInput("least-squares inputs contain non-finite entries")
     try:
-        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsFailure(f"least squares failed: {exc}") from exc
-    if rank < a.shape[1]:
-        raise RankDeficient(f"rank {rank} < {a.shape[1]} columns")
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
+        raise NumericsFailure(f"SVD did not converge: {exc}") from exc
+    full_rank = sv[:, -1] > np.finfo(float).eps * m * sv[:, 0]
+    ub = np.zeros((n, k))
+    np.divide((np.swapaxes(u, 1, 2) @ b[:, :, None])[:, :, 0], sv, out=ub,
+              where=full_rank[:, None])
+    x = (np.swapaxes(vh, 1, 2) @ ub[:, :, None])[:, :, 0]
     if not np.isfinite(x).all():
         raise NumericsFailure("least-squares solution contains non-finite entries")
-    return x
+    return x, full_rank

@@ -1,11 +1,11 @@
 """Sparse-recovery applications: matching pursuit, sensing benchmarks, adaptation.
 
-Three consumers of incoherent frames live here. ``omp`` is a plain orthogonal
-matching pursuit with least-squares refits. ``run_cs_experiment`` measures
-sparse recovery through a compressed-sensing pipeline y = F D a with a
-designed or random sensing frame F. ``adapt_dictionary`` rotates a frame to
-fit training data while preserving its coherence exactly (rotations leave the
-Gram matrix unchanged).
+Three consumers of incoherent frames live here. ``omp`` is the one pursuit:
+it codes a target or a batch of them, against one dictionary or one per target.
+``run_cs_experiment`` measures sparse recovery through a compressed-sensing
+pipeline y = F D a with a designed or random sensing frame F.
+``adapt_dictionary`` rotates a frame to fit training data while preserving its
+coherence exactly (rotations leave the Gram matrix unchanged).
 """
 from __future__ import annotations
 
@@ -13,63 +13,84 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NumericsFailure, RankDeficient
+from .errors import InvalidInput
 from .frames import Frame, mutual_coherence, random_unit_frame, unit_columns
 from .linalg import least_squares, svd
 
 _RESIDUAL_TOL = 1e-12
+# CS trials per pursuit: a fixed chunk bounds the stacked dictionaries' memory.
+_CS_CHUNK = 8
 
 
 def omp(d, y, s):
-    """Orthogonal matching pursuit: greedy s-sparse approximation of y.
+    """Orthogonal matching pursuit: greedy s-sparse approximations of targets.
 
     Parameters
     ----------
-    d : (m, M) array_like
-        Dictionary with unit-norm columns.
-    y : (m,) array_like
-        Target vector.
+    d : (m, M) or (n, m, M) array_like
+        One dictionary with unit-norm columns, or one per target.
+    y : (m,) or (m, n) array_like
+        One target, or one target per column.
     s : int
         Sparsity budget, 0 <= s <= m.
 
     Returns
     -------
     (support, coefficients)
-        Indices in selection order and the least-squares coefficients on
-        them. Ties in the correlation step go to the lowest index. Stops
-        early once the residual norm drops below 1e-12, and stops without
-        adding a column that would make the selection rank deficient.
+        For a 1-D ``y``: the indices in selection order and the least-squares
+        coefficients on them. For a 2-D ``y``: two lists whose entry j is
+        column j's support and coefficients. Ties in the correlation step go
+        to the lowest index. A target stops early once its residual norm drops
+        below 1e-12, when it picks an atom it already holds, and without
+        adding an atom that would make its selection rank deficient.
+
+    Targets still going after k picks hold k atoms, so each step makes one
+    stacked product and one stacked ``least_squares`` solve for all of them,
+    after Batch-OMP (Rubinstein, Zibulevsky & Elad 2008).
     """
     d = np.asarray(d, dtype=float)
     y = np.asarray(y, dtype=float)
-    if d.ndim != 2:
-        raise InvalidInput(f"dictionary must be 2-D, got shape {d.shape}")
-    m = d.shape[0]
-    if y.shape != (m,):
-        raise InvalidInput(f"y must have shape ({m},), got {y.shape}")
+    if d.ndim not in (2, 3) or y.ndim not in (1, 2):
+        raise InvalidInput(f"need a 2-D or 3-D d and a 1-D or 2-D y, got {d.shape}, {y.shape}")
+    m = d.shape[-2]
+    targets = y[:, None] if y.ndim == 1 else y
+    n = d.shape[0] if d.ndim == 3 else targets.shape[1]
+    if targets.shape != (m, n):
+        raise InvalidInput(f"y must have shape ({m},) or ({m}, n) matching d, got {y.shape}")
     if not (0 <= s <= m):
         raise InvalidInput(f"sparsity must satisfy 0 <= s <= m, got s={s}, m={m}")
     if not (np.isfinite(d).all() and np.isfinite(y).all()):
         raise InvalidInput("non-finite entries in omp inputs")
 
-    support: list[int] = []
-    coef = np.zeros(0)
-    residual = y.copy()
-    for _ in range(s):
-        if float(np.linalg.norm(residual)) < _RESIDUAL_TOL:
+    stack = d if d.ndim == 3 else d[None]
+    supports = np.zeros((n, s), dtype=int)
+    coefs = np.zeros((n, s))
+    sizes = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    residual = targets.T.copy()
+    for k in range(s):
+        going = np.linalg.norm(residual, axis=1) >= _RESIDUAL_TOL
+        active, residual = active[going], residual[going]
+        atoms = stack[active] if d.ndim == 3 else stack
+        # A stack of matrix-vector products, not one matrix product: each
+        # target's correlations round alike however many targets go along,
+        # so exact ties (parallel atoms) fall to the same index.
+        picks = np.argmax(np.abs(np.swapaxes(atoms, 1, 2) @ residual[:, :, None]), axis=1)[:, 0]
+        fresh = ~(supports[active, :k] == picks[:, None]).any(axis=1)
+        active, picks = active[fresh], picks[fresh]
+        if active.size == 0:
             break
-        corr = d.T @ residual
-        j = int(np.argmax(np.abs(corr)))
-        if j in support:
-            break
-        try:
-            x = least_squares(d[:, support + [j]], y)
-        except RankDeficient:
-            break
-        support.append(j)
-        coef = x
-        residual = y - d[:, support] @ coef
-    return np.asarray(support, dtype=int), coef
+        supports[active, k] = picks
+        rows = active[:, None] if d.ndim == 3 else 0
+        chosen = np.swapaxes(stack[rows, :, supports[active, : k + 1]], 1, 2)
+        x, full_rank = least_squares(chosen, targets.T[active])
+        active, chosen, x = active[full_rank], chosen[full_rank], x[full_rank]
+        sizes[active] = k + 1
+        coefs[active, : k + 1] = x
+        residual = targets.T[active] - (chosen @ x[:, :, None])[:, :, 0]
+    found = [supports[j, : sizes[j]] for j in range(n)]
+    found_coefs = [coefs[j, : sizes[j]] for j in range(n)]
+    return (found[0], found_coefs[0]) if y.ndim == 1 else (found, found_coefs)
 
 
 @dataclass(frozen=True)
@@ -144,23 +165,28 @@ def run_cs_experiment(experiment, sensing):
     children = np.random.SeedSequence(experiment.seed).spawn(experiment.trials)
     errors = np.empty(experiment.trials)
     exact = 0
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        d = unit_columns(rng.standard_normal((n, m_atoms)))
-        support = rng.choice(m_atoms, size=s, replace=False)
-        a = np.zeros(m_atoms)
-        a[support] = rng.standard_normal(s)
-        y = f_mat @ (d @ a)
-        phi = f_mat @ d
-        scales = np.linalg.norm(phi, axis=0)
-        scales[scales < 1e-300] = 1.0
-        sup_hat, coef = omp(phi / scales, y, s)
-        a_hat = np.zeros(m_atoms)
-        a_hat[sup_hat] = coef / scales[sup_hat]
-        denom = float(a @ a)
-        errors[t] = float((a - a_hat) @ (a - a_hat)) / denom if denom > 0.0 else 0.0
-        if set(sup_hat.tolist()) == set(support.tolist()):
-            exact += 1
+    for start in range(0, experiment.trials, _CS_CHUNK):
+        draws = []
+        for child in children[start : start + _CS_CHUNK]:
+            rng = np.random.default_rng(child)
+            d = unit_columns(rng.standard_normal((n, m_atoms)))
+            support = rng.choice(m_atoms, size=s, replace=False)
+            a = np.zeros(m_atoms)
+            a[support] = rng.standard_normal(s)
+            phi = f_mat @ d
+            scale = np.linalg.norm(phi, axis=0)
+            scale[scale < 1e-300] = 1.0
+            draws.append((a, support, scale, phi / scale, f_mat @ (d @ a)))
+        truth, supports, scales, phis, ys = zip(*draws)
+        found = omp(np.array(phis), np.column_stack(ys), s)
+        for t, a, support, scale, sup_hat, coef in zip(
+            range(start, experiment.trials), truth, supports, scales, *found
+        ):
+            a_hat = np.zeros(m_atoms)
+            a_hat[sup_hat] = coef / scale[sup_hat]
+            denom = float(a @ a)
+            errors[t] = float((a - a_hat) @ (a - a_hat)) / denom if denom > 0.0 else 0.0
+            exact += set(sup_hat.tolist()) == set(support.tolist())
 
     q25, q50, q75 = np.quantile(errors, [0.25, 0.5, 0.75])
     return CsResult(
@@ -191,46 +217,12 @@ class AdaptationRun:
     rank_deficient_steps: list = field(default_factory=list)
 
 
-def _sparse_codes(f_mat, y, s):
-    """``omp(f_mat, y[:, j], s)`` for every column j, pursued together.
-
-    Samples still pursuing after k picks all hold k atoms, so each step takes
-    one product with the dictionary and one stacked SVD of their selections.
-    The SVD applies lstsq's rank rule and gives the residual y - U U^T y.
-    The coefficients come from the ``least_squares`` call omp's last refit
-    makes, so the codes equal the per-column loop's bit for bit.
-    """
-    m, n = y.shape
-    supports = np.zeros((n, s), dtype=int)
-    sizes = np.zeros(n, dtype=int)
-    active = np.arange(n)
-    residual = y.T.copy()
-    for k in range(s):
-        going = np.linalg.norm(residual, axis=1) >= _RESIDUAL_TOL
-        active, residual = active[going], residual[going]
-        # A stack of matrix-vector products, not one matrix product: omp's
-        # ``d.T @ residual`` rounds the same way, so exact ties (parallel
-        # atoms) fall to the same index.
-        picks = np.argmax(np.abs(f_mat.T @ residual[:, :, None]), axis=1)[:, 0]
-        fresh = ~(supports[active, :k] == picks[:, None]).any(axis=1)
-        active, picks = active[fresh], picks[fresh]
-        if active.size == 0:
-            break
-        supports[active, k] = picks
-        try:
-            u, sv, _ = np.linalg.svd(f_mat.T[supports[active, : k + 1]].transpose(0, 2, 1),
-                                     full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsFailure(f"SVD did not converge: {exc}") from exc
-        full_rank = sv[:, -1] > np.finfo(float).eps * max(m, k + 1) * sv[:, 0]
-        active, u = active[full_rank], u[full_rank]
-        sizes[active] = k + 1
-        y_act = y.T[active]
-        residual = y_act - np.einsum("imk,ik->im", u, np.einsum("imk,im->ik", u, y_act))
-    x = np.zeros((f_mat.shape[1], n))
-    for j in np.flatnonzero(sizes):
-        sup = supports[j, : sizes[j]]
-        x[sup, j] = least_squares(f_mat[:, sup], y[:, j])
+def _codes(f_mat, y, s):
+    """The (M, n) coefficient matrix of ``omp`` over every column of y."""
+    supports, coefs = omp(f_mat, y, s)
+    x = np.zeros((f_mat.shape[1], y.shape[1]))
+    cols = np.repeat(np.arange(y.shape[1]), [c.size for c in coefs])
+    x[np.concatenate(supports), cols] = np.concatenate(coefs)
     return x
 
 
@@ -263,8 +255,6 @@ def adapt_dictionary(y, frame, s, iterations):
         raise InvalidInput(f"data must be ({frame.m}, n>=1), got shape {y.shape}")
     if not np.isfinite(y).all():
         raise InvalidInput("data contains non-finite entries")
-    if not (0 <= s <= frame.m):
-        raise InvalidInput(f"sparsity must satisfy 0 <= s <= m, got s={s}, m={frame.m}")
     if iterations < 0:
         raise InvalidInput(f"iterations must be >= 0, got {iterations}")
     y_norm = float(np.linalg.norm(y))
@@ -274,7 +264,7 @@ def adapt_dictionary(y, frame, s, iterations):
     m = frame.m
     f_mat = np.array(frame.vectors, copy=True)
     rotation = np.eye(m)
-    x = _sparse_codes(f_mat, y, s)
+    x = _codes(f_mat, y, s)
     trace = [float(np.linalg.norm(y - f_mat @ x)) / y_norm]
     rank_deficient = []
 
@@ -287,7 +277,7 @@ def adapt_dictionary(y, frame, s, iterations):
         q = u @ v.T
         f_mat = q @ f_mat
         rotation = q @ rotation
-        x = _sparse_codes(f_mat, y, s)
+        x = _codes(f_mat, y, s)
         trace.append(float(np.linalg.norm(y - f_mat @ x)) / y_norm)
 
     return AdaptationRun(
@@ -312,6 +302,8 @@ def make_planted_dataset(frame, s, n_samples, noise, seed):
         raise InvalidInput(f"sparsity out of range: {s}")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
+    if not (np.isfinite(noise) and noise >= 0.0):
+        raise InvalidInput(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     m, n = frame.m, frame.n_vectors
     raw = rng.standard_normal((m, m))

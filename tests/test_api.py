@@ -1,13 +1,18 @@
 """The public namespace: every exported name resolves, none is listed twice,
-and the list itself is pinned, so a new export is a visible change."""
+and the list itself is pinned, so a new export is a visible change. Every
+name the benchmark's tracer swaps resolves too, and still gets called."""
 
+import importlib
 import inspect
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import incoframes
 import incoframes.design
 import incoframes.frames
+import incoframes.sparse
 
 PUBLIC = [
     "AdaptationRun",
@@ -68,13 +73,14 @@ def test_public_names_are_pinned():
 
 
 def test_one_path_per_job():
-    # ``run`` drives every sweep; ``correlations`` forms every Gram matrix and
-    # ``frame_metrics`` computes every metric.
+    # ``run`` drives every sweep; ``correlations`` forms every Gram matrix,
+    # ``frame_metrics`` computes every metric and ``omp`` does every pursuit.
     for module, name in [
         (incoframes.design, "sweep"),
         (incoframes.design, "SweepStats"),
         (incoframes.frames, "average_coherence"),
         (incoframes.frames, "frame_potential"),
+        (incoframes.sparse, "_sparse_codes"),
     ]:
         assert not hasattr(incoframes, name), name
         assert not hasattr(module, name), name
@@ -95,3 +101,28 @@ def test_import_loads_no_lapack():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False", "True"]
+
+
+def _bench_tracing():
+    """``bench/tracing.py`` as a module, read without writing a bytecode cache."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer swaps these attributes; a refactor that renames
+    # one fails here, not only in a traced benchmark run.
+    for module_name, attr, _ in _bench_tracing().WRAPPED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+
+
+def test_traced_sparse_run_fires_its_spans():
+    tracer = _bench_tracing().Tracer(incoframes.SolverStall)
+    frame = incoframes.random_sensing_frame(6, 12, seed=1)
+    y, _, _ = incoframes.make_planted_dataset(frame, 2, 16, 0.01, seed=1)
+    with tracer.installed():
+        incoframes.run_cs_experiment(incoframes.CsExperiment(12, 18, 2, trials=3, seed=1), frame)
+        incoframes.adapt_dictionary(y, frame, 2, 1)
+    assert {"sparse.omp", "linalg.least_squares", "linalg.svd"} <= tracer.names()

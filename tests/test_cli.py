@@ -448,8 +448,9 @@ class TestAdapt:
             ["--synthetic"],
             ["--frame", "{frame}", "--synthetic", "--iterations", "-1"],
             ["--frame", "{frame}", "--images", "{images}", "--sparsity", "5"],
+            ["--frame", "{frame}", "--synthetic", "--noise", "-0.5"],
         ],
-        ids=["no-frame", "negative-iterations", "sparsity-above-m"],
+        ids=["no-frame", "negative-iterations", "sparsity-above-m", "negative-noise"],
     )
     def test_bad_input_rejected_before_any_work(self, small_frame_file, tmp_path, bad):
         img_dir = tmp_path / "imgs"
@@ -597,13 +598,13 @@ class TestPinnedOutputs:
 
     PINS = {
         "adapt-images/frame_m4_n8_seed0_nonneg_adapt_trace.csv":
-            "47486027fbeb69ff9309a1b492da9973ff2a4806a9fbfce80ce8aeca6e8ec290",
+            "217d46f829c83e9094f6ab72dce6c7140c0e9195b02f153772d4469da0772c0f",
         "adapt-images/frame_m4_n8_seed0_nonneg_adapted.frame":
-            "7ccd3ff9e2cb141cedfac910fecf1d740d3dd2712616a9b8f89450d2f525e426",
+            "d1b50198d2359b80884d8ece6585b2fe261813907afbc0d6dca36b841874b61d",
         "adapt/frame_m5_n10_seed1_adapt_trace.csv":
-            "492ecbd73c6079b68cf84cc6d29fd4019cbf34de80aaa1693c77afab4fbea370",
+            "4f661932d0ce96b40344f16bf9ff7cc2ba8e05b6ca518706cd093a56bf0772a8",
         "adapt/frame_m5_n10_seed1_adapted.frame":
-            "11a32366423ea12d54cf27790bafb0052884a17491d8fb79c57f6f3543df9911",
+            "f99056b4f4f4fdca20cc97fc3176a0187df403e3db7e5e8e786044e2c1b27142",
         "config/frame_m4_n8_seed3.frame":
             "23ae58b09da8282e66366089d13545b16c14175be18b7d5f0c13f42d836b8c8c",
         "config/frame_m4_n8_seed4.frame":
@@ -613,9 +614,9 @@ class TestPinnedOutputs:
         "config/manifest_m4_n8_seed4.json":
             "bcdbe1ce3edb9f96e16a44376555a4dc9e0794618e83c78e0a41f73f5fbcda87",
         "cs/cs_bench.csv":
-            "36fe740b27115251ac3c385dd04a90d43015643e1878a668fd77beba77b256e8",
+            "e0032c497bc7859b0a66032dddbaabf9b28380a709b9346cca6bc597b4364aa4",
         "cs/cs_bench.svg":
-            "d339018447d99844b91b694227c350876d554b99a86f837f8b2b128629375f19",
+            "6b51fdaddb9dedff635d17140e3a64679acc8560dbf00eea40b5813ac2f9b61d",
         "cs/sensing_m6_n16.frame":
             "23a1a63d5554d4267d116f67e6f598ac5989f1c47e58a91db13ccbc40fd1fb8b",
         "cs/sensing_m8_n16.frame":
@@ -635,7 +636,7 @@ class TestPinnedOutputs:
         "profile.csv":
             "097f620d3d26cc807863d045e6dd262ba516e1ce26e5ed7f526c86453828c039",
         "stdout":
-            "7ccc56566fe79c5d96da56fc7dea788e589fa2a732ff8b57a8d9e6e476e7a591",
+            "b4bc7ad106da96941bbf3b8caa4200dc17d475f161e5b7a8dd903139a6c6e2a4",
     }
 
     @staticmethod

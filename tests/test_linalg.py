@@ -106,33 +106,54 @@ class TestUnitPolar:
 class TestLeastSquares:
     def test_normal_equations_hold(self):
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((20, 5))
-        b = rng.standard_normal(20)
-        x = least_squares(a, b)
-        # Residual orthogonal to the column span.
-        assert np.abs(a.T @ (a @ x - b)).max() < 1e-10
+        a = rng.standard_normal((6, 20, 5))
+        b = rng.standard_normal((6, 20))
+        x, full_rank = least_squares(a, b)
+        assert x.shape == (6, 5) and full_rank.all()
+        for a_i, b_i, x_i in zip(a, b, x):
+            # Residual orthogonal to the column span.
+            assert np.abs(a_i.T @ (a_i @ x_i - b_i)).max() < 1e-10
 
     def test_matches_pseudoinverse(self):
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((12, 4))
-        b = rng.standard_normal((12, 3))
-        x = least_squares(a, b)
-        assert np.allclose(x, np.linalg.pinv(a) @ b, atol=1e-10)
+        a = rng.standard_normal((7, 12, 4))
+        b = rng.standard_normal((7, 12))
+        x, full_rank = least_squares(a, b)
+        assert full_rank.all()
+        for a_i, b_i, x_i in zip(a, b, x):
+            assert np.allclose(x_i, np.linalg.pinv(a_i) @ b_i, atol=1e-10)
 
     def test_exact_system_recovered(self):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((9, 3))
-        x_true = rng.standard_normal(3)
-        x = least_squares(a, a @ x_true)
+        a = rng.standard_normal((5, 9, 3))
+        x_true = rng.standard_normal((5, 3))
+        x, full_rank = least_squares(a, np.einsum("imk,ik->im", a, x_true))
+        assert full_rank.all()
         assert np.allclose(x, x_true, atol=1e-10)
 
-    def test_rank_deficient_raises(self):
-        a = np.ones((6, 2))
-        with pytest.raises(RankDeficient):
-            least_squares(a, np.ones(6))
+    def test_mixed_rank_stack_is_masked(self):
+        rng = np.random.default_rng(7)
+        good = rng.standard_normal((6, 2))
+        a = np.array([good, np.ones((6, 2)), np.zeros((6, 2)),
+                      np.column_stack([good[:, 0], 3.0 * good[:, 0]]), 2.0 * good])
+        b = rng.standard_normal((5, 6))
+        x, full_rank = least_squares(a, b)
+        assert full_rank.tolist() == [True, False, False, False, True]
+        assert np.array_equal(x[1:4], np.zeros((3, 2)))
+        for i in (0, 4):
+            assert np.allclose(x[i], np.linalg.pinv(a[i]) @ b[i], atol=1e-10)
+        # lstsq's rank rule: the same ranks, matrix by matrix.
+        ranks = [np.linalg.lstsq(a_i, b_i, rcond=None)[2] for a_i, b_i in zip(a, b)]
+        assert full_rank.tolist() == [rank == 2 for rank in ranks]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
-            least_squares(np.ones((4, 2)), np.ones(5))
+            least_squares(np.ones((4, 2)), np.ones(4))
         with pytest.raises(InvalidInput):
-            least_squares(np.ones((2, 4)), np.ones(2))
+            least_squares(np.ones((3, 4, 2)), np.ones((3, 5)))
+        with pytest.raises(InvalidInput):
+            least_squares(np.ones((1, 2, 4)), np.ones((1, 2)))
+        with pytest.raises(InvalidInput):
+            least_squares(np.ones((0, 4, 2)), np.ones((0, 4)))
+        with pytest.raises(InvalidInput):
+            least_squares(np.full((1, 4, 2), np.nan), np.ones((1, 4)))

@@ -22,7 +22,6 @@ from incoframes import (
     run_cs_experiment,
 )
 from incoframes.frames import unit_columns
-from incoframes.sparse import _sparse_codes
 
 
 @pytest.fixture(scope="module")
@@ -148,41 +147,84 @@ def _parallel_atoms():
     return d, rng.standard_normal((5, 12))
 
 
+def _cs_stack():
+    # One normalized F D per target, as compressed-sensing trials pursue them.
+    rng = np.random.default_rng(3)
+    f_mat = random_sensing_frame(8, 16, seed=3).vectors
+    d = np.array([unit_columns(f_mat @ unit_columns(rng.standard_normal((16, 24))))
+                  for _ in range(11)])
+    a = np.zeros((11, 24))
+    for t in range(11):
+        a[t, rng.choice(24, size=3, replace=False)] = rng.standard_normal(3)
+    return d, np.einsum("tmk,tk->mt", d, a)
+
+
+def omp_reference(d, y, s):
+    """The per-signal pursuit: one lstsq refit on the whole selection per step."""
+    support, coef, residual = [], np.zeros(0), y.copy()
+    for _ in range(s):
+        if float(np.linalg.norm(residual)) < 1e-12:
+            break
+        j = int(np.argmax(np.abs(d.T @ residual)))
+        if j in support:
+            break
+        x, _, rank, _ = np.linalg.lstsq(d[:, support + [j]], y, rcond=None)
+        if rank <= len(support):
+            break
+        support.append(j)
+        coef = x
+        residual = y - d[:, support] @ coef
+    return np.asarray(support, dtype=int), coef
+
+
 class TestSparseCodes:
     @pytest.mark.parametrize(
         "make",
         [lambda: _planted(0.01), lambda: _planted(0.0), _zero_column, _rank_deficient,
-         _parallel_atoms],
-        ids=["planted", "noiseless", "zero-column", "rank-deficient", "parallel-atoms"],
+         _parallel_atoms, _cs_stack],
+        ids=["planted", "noiseless", "zero-column", "rank-deficient", "parallel-atoms",
+             "cs-stack"],
     )
     def test_matches_per_column_omp(self, make):
         d, y = make()
-        m = d.shape[0]
+        m = d.shape[-2]
         for s in sorted({0, 1, min(4, m), m}):
-            loop = np.zeros((d.shape[1], y.shape[1]))
+            supports, coefs = omp(d, y, s)
+            assert len(supports) == len(coefs) == y.shape[1]
             for j in range(y.shape[1]):
-                sup, coef = omp(d, y[:, j], s)
-                loop[sup, j] = coef
-            assert np.array_equal(_sparse_codes(d, y, s), loop), s
+                d_j = d[j] if d.ndim == 3 else d
+                sup, coef = omp_reference(d_j, y[:, j], s)
+                assert np.array_equal(supports[j], sup), (s, j)
+                assert np.abs(coefs[j] - coef).max(initial=0.0) <= 1e-12 * np.abs(coef).max(
+                    initial=0.0), (s, j)
+                # The 1-D form is the same pursuit: column j's pair, bit for bit.
+                one_sup, one_coef = omp(d_j, y[:, j], s)
+                assert np.array_equal(one_sup, supports[j])
+                assert np.array_equal(one_coef, coefs[j])
 
     def test_one_stacked_pursuit_per_pass(self, monkeypatch):
-        """A pass pursues every sample at once: at most s stacked SVDs and one
-        least-squares refit per coded sample, not s refits per sample."""
-        d, y = _planted(0.01)
-        counts = {"svd": 0, "least_squares": 0}
+        """A 256-sample coding pass and one chunk of CS trials each make one
+        ``omp`` call and at most s stacked ``least_squares`` calls."""
+        counts = {"omp": 0, "least_squares": 0}
 
-        def counted(name, fn):
+        def counted(name):
+            fn = getattr(incoframes.sparse, name)
+
             def call(*args, **kwargs):
                 counts[name] += 1
                 return fn(*args, **kwargs)
-            return call
+            monkeypatch.setattr(incoframes.sparse, name, call)
 
-        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        monkeypatch.setattr(incoframes.sparse, "least_squares",
-                            counted("least_squares", incoframes.sparse.least_squares))
-        x = _sparse_codes(d, y, 4)
-        assert counts["svd"] <= 4
-        assert counts["least_squares"] <= int((x != 0).any(axis=0).sum()) <= y.shape[1]
+        counted("omp")
+        counted("least_squares")
+        frame = random_sensing_frame(8, 16, seed=6)
+        y, _, _ = make_planted_dataset(frame, 3, 256, 0.01, seed=6)
+        adapt_dictionary(y, frame, 4, 0)
+        assert counts["omp"] == 1 and 1 <= counts["least_squares"] <= 4
+        counts.update(omp=0, least_squares=0)
+        exp = CsExperiment(n_signal=20, n_atoms=30, sparsity=3, trials=8, seed=2)
+        run_cs_experiment(exp, random_sensing_frame(8, 20, seed=5))
+        assert counts["omp"] == 1 and 1 <= counts["least_squares"] <= 3
 
 
 class TestCsExperiment:
@@ -225,6 +267,14 @@ class TestCsExperiment:
         assert designed.sensing_coherence < random.sensing_coherence
         assert designed.mean_error < random.mean_error
         assert designed.support_rate >= random.support_rate
+
+    def test_trials_do_not_depend_on_their_chunk(self):
+        # Spawned seeds are index-stable, so the first five trials draw alike.
+        sensing = random_sensing_frame(8, 20, seed=5)
+        few = run_cs_experiment(CsExperiment(20, 30, 3, trials=5, seed=4), sensing)
+        many = run_cs_experiment(CsExperiment(20, 30, 3, trials=37, seed=4), sensing)
+        assert np.array_equal(few.errors, many.errors[:5])
+        assert few.errors.max() > 0.0
 
     def test_dimension_mismatch(self):
         exp = CsExperiment(n_signal=20, n_atoms=30, sparsity=2, trials=5)
@@ -311,3 +361,8 @@ class TestPlantedDataset:
             make_planted_dataset(designed_8x16, s=99, n_samples=5, noise=0.0, seed=1)
         with pytest.raises(InvalidInput):
             make_planted_dataset(designed_8x16, s=2, n_samples=5, noise=0.0, seed=-1)
+
+    @pytest.mark.parametrize("noise", [-0.5, np.nan, np.inf])
+    def test_noise_must_be_finite_and_nonnegative(self, designed_8x16, noise):
+        with pytest.raises(InvalidInput):
+            make_planted_dataset(designed_8x16, s=2, n_samples=5, noise=noise, seed=1)
