@@ -27,7 +27,8 @@ print(f"squared trust radius T = {radius_sq:.6f}")
 sol = solve_subproblem(problem)
 
 root = np.sqrt(radius_sq)
-print(f"\nsolver finished in {sol.iterations} iterations, gap {sol.gap:.2e}")
+print(f"\nsolver certified after {sol.iterations} working-set changes, "
+      f"worst KKT residual {sol.residuals.worst():.2e}")
 print(f"f* = {np.round(sol.f, 6)}")
 print(f"closed form (1 - sqrt(T)) h = {np.round((1 - root) * h, 6)}")
 print(f"worst correlation t* = {sol.t:.6f}, closed form {(1 - root) / 3:.6f}")

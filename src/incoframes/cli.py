@@ -84,12 +84,6 @@ def _timed_run(cfg):
     return frame, report, time.perf_counter() - started
 
 
-def _load_lapack():
-    # The first solve would import LAPACK inside a timed run, once in every
-    # forked worker: load it once, before any run is timed or forked.
-    from scipy.linalg import lapack  # noqa: F401
-
-
 def _cmd_design(args):
     _require(args, ["m", "N"])
     # Reject every bad setting before the output directory is created.
@@ -106,7 +100,6 @@ def _cmd_design(args):
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _load_lapack()
 
     initial_mus, final_mus, final_avgs = [], [], []
     tag = "_nonneg" if args.nonneg else ""
@@ -209,8 +202,6 @@ def _cmd_cs_bench(args):
                 )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if "designed-fresh" in sources:
-        _load_lapack()
 
     def measure(m):
         rows = []

@@ -49,8 +49,8 @@ class DesignConfig:
     escape step fires. Nonnegative mode optimizes entrywise-nonnegative
     vectors; it disables sign flips and escape steps and optimizes every
     vector including the first one. The trust radius backoff (1e-4) is
-    fixed, and every subproblem is certified to the solver's fixed duality
-    gap of 1e-8.
+    fixed, and every subproblem solution is certified with each KKT
+    residual within the solver's fixed 1e-8.
     """
 
     m: int

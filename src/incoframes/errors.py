@@ -18,12 +18,11 @@ class DegenerateVector(InvalidInput):
 
 
 class SolverStall(RuntimeError):
-    """Interior-point solve stopped before certifying optimality.
+    """Subproblem solve stopped before certifying optimality.
 
-    ``reason`` names the exit: ``"cap"`` (the iteration cap), ``"non-finite"``
-    (a non-finite normal matrix or Newton direction) or ``"factorization"``
-    (the normal matrix failed to factor). ``solution`` is the iterate the
-    loop stopped at, with its duality gap, so callers can decide whether the
+    ``reason`` names the exit: ``"cap"``, the working-set change cap of
+    ``solve_subproblem``. ``solution`` is the last uncertified candidate, or
+    None when the solve reached none, so callers can decide whether the
     partial answer is usable.
     """
 

@@ -17,8 +17,12 @@ _UNIT_TOL = 1e-10
 
 
 def unit_columns(a):
-    """Return a copy of ``a`` with every column scaled to unit Euclidean norm."""
+    """Return a copy of the matrix ``a`` with every column scaled to unit
+    Euclidean norm. Any other rank raises ``InvalidInput``: a stack would be
+    normalized across its first axis, not per column."""
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise InvalidInput(f"unit_columns needs a 2-D matrix, got shape {a.shape}")
     norms = np.linalg.norm(a, axis=0)
     if (norms <= 0.0).any() or not np.isfinite(norms).all():
         raise InvalidInput("cannot normalize a zero or non-finite column")

@@ -7,10 +7,12 @@ The step solves
 
 where h is the current unit vector, the h_j are its (sign-canonicalized)
 neighbors, and T < 1 - max_j(h_j^T h)^2 keeps the region clear of the
-problematic caps. In epigraph form (variables x = (f, t), minimize t subject
-to h_j^T f <= t and the ball constraint) this is a linearly-constrained
-convex program with one quadratic inequality, solved here by a primal-dual
-interior-point method with Mehrotra's predictor-corrector.
+problematic caps. The optimal t is the level at which the point nearest h
+in {f : h_j^T f <= t (, f >= 0)} lies exactly sqrt(T) away. On a fixed
+working set (the tight planes, and the zero coordinates in nonneg mode)
+that point is a closed form, affine in t: one non-negative least-squares
+solve (Lawson & Hanson 1974, least-distance programming) finds the set at a
+start level, and a walk of exact events carries it to the optimal level.
 
 The multipliers are part of the contract: at an optimum
 
@@ -22,19 +24,21 @@ candidate solution satisfies that system.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, NumericsFailure, SolverStall
+from .errors import InvalidInput, SolverStall
 from .frames import _UNIT_TOL
 
-# Absolute target for the duality gap and the primal infeasibility of every
-# solve; a certified solution keeps each KKT residual within 10 * _TOL.
-_TOL = 1e-8
-_MAX_ITER = 100  # interior-point iteration cap
+_TOL = 1e-8  # each KKT residual of a returned solution, inside the 10 * _TOL contract
+_MAX_CHANGES = 100  # working-set changes (walk events and NNLS restarts) per solve
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,7 @@ class SubproblemSolution:
     ``lam`` holds the multipliers of the k neighbor constraints (summing to 1
     at an optimum), ``lam_ball`` the multiplier of the trust-region ball, and
     ``bound_lam`` the multipliers of the f >= 0 bounds when they are present.
+    ``iterations`` counts the working-set changes the solve made.
     """
 
     f: np.ndarray
@@ -121,7 +126,6 @@ class SubproblemSolution:
     lam: np.ndarray
     lam_ball: float
     bound_lam: np.ndarray | None
-    gap: float
     iterations: int
     converged: bool
     residuals: KktResiduals | None = None
@@ -151,259 +155,143 @@ def kkt_residuals(problem, solution):
     return KktResiduals(stationarity=stat, complementarity=comp, primal=primal)
 
 
-def _step_length(w, dw, out):
-    """Largest step along ``dw`` keeping ``w = (s, z) > 0`` non-negative, ``inf``
-    when no entry of ``dw`` is negative. ``out`` is a work array of ``w``'s length."""
-    # min over dw < 0 of -w/dw is -(max of w/dw): negation is exact, so this
-    # is bit for bit the textbook ratio test. -0.0 and NaN entries of dw are
-    # not negative and drop out.
-    out.fill(-np.inf)
-    np.divide(w, dw, out=out, where=dw < 0.0)
-    return -float(np.maximum.reduce(out))
+@functools.cache
+def _nnls():
+    """scipy's compiled Lawson-Hanson ``nnls(A, b, maxiter) -> (x, rnorm, info)``,
+    loaded by file: importing ``scipy.optimize`` costs about 0.5 s and 20 MB."""
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "optimize"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_slsqplib{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader("scipy.optimize._slsqplib", str(path))
+            spec = importlib.util.spec_from_loader(loader.name, loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module.nnls
+    raise ImportError(f"solve_subproblem needs scipy 1.17's compiled nnls, not {scipy.__version__}")
+
+
+def _tight_set(h, nb, c, t, nonneg):
+    """Masks of the tight planes W and zero coordinates B of the point
+    nearest h in {f : H^T f <= t (, f >= 0)}.
+
+    With y = f - h the constraints read G y >= g, G = [-H^T; I] and
+    g = [c - t 1; -h] (identity rows in nonneg mode only), and min ||y||
+    is the NNLS min ||E u - e_{m+1}|| over u >= 0, E = [G^T; g^T]: positive
+    entries of u mark tight rows. Where h_i = 0 and no neighbor is negative,
+    f_i = bound multiplier - (H alpha)_i stays 0, so i joins B outside the
+    NNLS: its degenerate column [e_i; 0] can make the NNLS report infeasible.
+    """
+    m, k = nb.shape
+    rows = (h != 0.0) | (nb < 0.0).any(axis=1) if nonneg else np.ones(m, dtype=bool)
+    r = int(rows.sum())
+    cols = k + r if nonneg else k
+    e = np.zeros((r + 1, cols))
+    np.negative(nb[rows], out=e[:r, :k])
+    e[r, :k] = c - t
+    if nonneg:
+        np.fill_diagonal(e[:r, k:], 1.0)
+        e[r, k:] = -h[rows]
+    rhs = np.zeros(r + 1)
+    rhs[r] = 1.0
+    # At its iteration cap (info 3) the routine still returns a feasible u,
+    # and the walk and the certificate judge the set it marks.
+    u, _, _ = _nnls()(e, rhs, 3 * cols)
+    zero = ~rows
+    if nonneg:
+        zero[rows] = u[k:] > 0.0
+    return u[:k] > 0.0, zero
 
 
 def solve_subproblem(problem):
-    """Solve a TrustSubproblem, certified to a duality gap of 1e-8.
+    """Solve a TrustSubproblem exactly, certified by its KKT residuals.
 
-    ``_TOL`` (1e-8) is the target for the gap and the primal infeasibility;
-    a returned solution keeps every KKT residual within 10 * ``_TOL``. The
-    solve has two exits: the interior-point loop returns a certified
-    iterate, or it stops and raises ``SolverStall``.
-
-    Returns
-    -------
-    SubproblemSolution
-        With ``converged=True`` and residuals attached.
-
-    Raises
-    ------
-    SolverStall
-        If the IPM stops without a certificate. Its ``reason`` says why:
-        ``"cap"`` after ``_MAX_ITER`` (100) iterations, ``"non-finite"`` for
-        a non-finite normal matrix or corrector direction, and
-        ``"factorization"`` when the normal matrix fails to factor. The
-        exception carries the iterate the loop stopped at, with its gap.
-    NumericsFailure
-        If LAPACK rejects an argument, which no input data can cause.
+    With s = c_max - t (c_max the largest h_j^T h), the nearest-point
+    multipliers on a working set (W, B) are alpha = G^-1 (d + s 1), where
+    G = H_W^T H_W over the free rows and d = H_W^T h - c_max; the squared
+    distance a s^2 + 2 b s + q meets T' = T - ||h_B||^2 at one root. One NNLS
+    gives the set at a start level, and s walks toward the root. At the
+    first event on the way (a multiplier or a slack reaching 0) the set
+    changes, ties going to the lowest index, planes first. At the root
+    lam = alpha / sum(alpha) and lam_ball = 1 / (2 sum(alpha)), returned with
+    ``converged=True`` once every KKT residual is within ``_TOL`` (1e-8) and
+    no multiplier is below -``_TOL``. Otherwise, or on a singular set, an
+    NNLS at the current level restarts the walk. ``iterations`` counts the
+    working-set changes; after ``_MAX_CHANGES`` (100) the solve raises
+    ``SolverStall(reason="cap")`` carrying the last candidate (or None).
     """
-    # Importing scipy.linalg takes about 0.2 s and 30 MB, and only a solve
-    # needs it: analyze, adapt and random-source cs-bench never factor anything.
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    h = problem.reference
-    nb = problem.neighbors
-    big_t = problem.radius_sq
-    nonneg = problem.nonneg
-    m, k = problem.m, problem.k
-    n = m + 1
-    p = k + (m if nonneg else 0) + 1
-
-    jac = np.zeros((p, n))
-    jac[:k, :m] = nb.T
-    jac[:k, m] = -1.0
-    if nonneg:
-        jac[k : k + m, :m] = -np.eye(m)
-    ball_row = jac[-1, :m]
-
-    # The iterate (x, s, z) is one array and each Newton direction (dx, ds,
-    # dz) another of the same layout: the trailing 2p entries take one ratio
-    # test, and one multiply-add moves x, s and z by its one length. Trial
-    # points, the start among them, fill a second state array, copied in
-    # when accepted; the views below stay valid.
-    def split(v):
-        return v[:n], v[n : n + p], v[n + p :]
-
-    state = np.empty(n + 2 * p)
-    trial_state = np.zeros(n + 2 * p)
-    pred = np.empty(n + 2 * p)
-    corr = np.empty(n + 2 * p)
-    x, s, z = split(state)
-    xt, st, zt = split(trial_state)
-    pred_parts = split(pred)
-    corr_parts = split(corr)
-
-    # Per-solve work arrays; every iteration overwrites them in full.
-    g = np.empty(p)
-    r_p = np.empty(p)
-    r_d = np.empty(n)
-    d = np.empty(p)
-    jac_d = np.empty((p, n))
-    m_mat = np.empty((n, n))
-    # One add of shift puts the ball Hessian and a 1e-12 jitter on the
-    # diagonal, a strided view of the C-ordered product (dpotrf reads its lower triangle).
-    diag = m_mat.reshape(-1)[:: n + 1]
-    shift = np.full(n, 1e-12)
-    sz = np.empty(p)
-    target = np.empty(p)
-    rc_s = np.empty(p)
-    rhs = np.empty(p)
-    rp2 = np.empty(p)
-    ratios = np.empty(2 * p)
-
-    # Products inside the iteration use ndarray.dot: it calls the same BLAS
-    # routine as @ (ddot, dgemv or dgemm) at about half of @'s dispatch cost.
-    def merit():
-        """r_p, the gap and the merit (both residuals' 2-norms plus the gap) at trial_state."""
-        np.add(g, st, out=r_p)
-        gap = float(st.dot(zt))
-        return gap, math.sqrt(r_p.dot(r_p)) + math.sqrt(r_d.dot(r_d)) + gap
-
-    def evaluate():
-        """g, the ball gradient in jac's last row and r_d at trial_state, then merit()."""
-        # One product with jac's linear rows gives every plane and bound
-        # value: a bound row's -1 and zeros give -f exactly.
-        jac[:-1].dot(xt, out=g[:-1])
-        np.subtract(xt[:m], h, out=ball_row)
-        g[-1] = ball_row.dot(ball_row) - big_t
-        np.multiply(ball_row, 2.0, out=ball_row)
-        jac.T.dot(zt, out=r_d)
-        r_d[m] += 1.0
-        return merit()
-
-    # Strictly interior start: shrink toward the center, lift t above all
-    # planes. Slacks and multipliers follow each row's natural scale; the
-    # ball row scales with the radius (its multiplier sits near 1/(2 sqrt T)
-    # at the optimum), so tiny trust regions must not be floored at 1e-2.
-    xt[:m] = (1.0 - 0.5 * math.sqrt(big_t)) * h
-    xt[m] = float((nb.T @ xt[:m]).max()) + 1.0
-    zt[:k] = 1.0 / k
-    if nonneg:
-        zt[k : k + m] = 0.5
-    zt[-1] = 0.5 / math.sqrt(big_t)
-    evaluate()  # slacks still zero: only g, a function of x, is used
-    np.maximum(-g, 1e-2, out=st)
-    st[-1] = max(-g[-1], 1e-2 * big_t)
-    gap, phi = merit()
-    state[:] = trial_state
-
-    def newton(rp, rc, out):
-        """Write the direction (dx, ds, dz) for primal residual rp and
-        complementarity target rc into the views ``out``."""
-        dx, ds, dz = out
-        np.divide(rc, s, out=rc_s)
-        np.multiply(d, rp, out=rhs)
-        np.subtract(rc_s, rhs, out=rhs)
-        jac.T.dot(rhs, out=dx)
-        np.subtract(dx, r_d, out=dx)
-        sol, info = dpotrs(factor, dx, lower=1, overwrite_b=1)
-        if info < 0:
-            raise NumericsFailure(f"dpotrs: illegal value in argument {-info}")
-        dx[...] = sol  # overwrite_b permits an in-place solve but does not promise one
-        # ds = -(rp + J dx) from the linearized constraints, and
-        # dz = D (J dx + rp) - rc / s from the complementarity row.
-        jac.dot(dx, out=ds)
-        np.add(ds, rp, out=ds)
-        np.multiply(d, ds, out=dz)
-        np.subtract(dz, rc_s, out=dz)
-        np.negative(ds, out=ds)
-
-    def advance(a, direction):
-        """trial_state = state + a * direction."""
-        np.multiply(direction, a, out=trial_state)
-        np.add(state, trial_state, out=trial_state)
-
-    reason = "cap"
-    # A constant fraction to the boundary: a rule that moves it toward 1 as
-    # mu falls lets a slack shrink 1e5-fold per iteration, until its weight
-    # z/s reaches 1e22 and the normal matrix no longer factors.
-    eta = 0.995
-
-    # g, gap, phi, r_p, r_d and jac's last row all belong to the point in
-    # state: it is the last point evaluated.
-    for it in range(_MAX_ITER):
-        if gap <= _TOL and float(np.abs(r_p).max()) <= _TOL:
-            # Objective certified by the gap; accept once the full optimality
-            # residuals sit safely inside the 10*_TOL contract. Ill-conditioned
-            # instances can pin the dual residual slightly above _TOL while the
-            # gap is already many orders below it. The optimum always sits on
-            # the ball boundary, so also require the ball slack inside _TOL;
-            # with a loose boundary the loop goes on.
-            candidate = _package(problem, x, z, gap, it, True)
-            if candidate.residuals.worst() <= 9.0 * _TOL and abs(g[-1]) <= _TOL:
+    h, nb, big_t, nonneg = problem.reference, problem.neighbors, problem.radius_sq, problem.nonneg
+    k = problem.k
+    c = nb.T @ h
+    top = float(c.max())
+    # f = (1 - sqrt(T)) h lies sqrt(T) from h with no correlation above
+    # (1 - sqrt(T)) c_max: the root lies at or beyond s = sqrt(T) c_max. With
+    # c_max <= 0 no plane is tight there, but the top one is at s = sqrt(T).
+    s = math.sqrt(big_t) * (top if top > 0.0 else 1.0)
+    tight, zero = _tight_set(h, nb, c, top - s, nonneg)
+    candidate = None
+    for changes in range(_MAX_CHANGES + 1):
+        hw = nb[:, tight]
+        hf = np.where(zero[:, None], 0.0, hw)  # H_W on the free rows
+        t_free = big_t - float(h[zero] @ h[zero])
+        rhs = np.column_stack([np.ones(hw.shape[1]), hf.T @ h - top])
+        try:
+            x = np.linalg.solve(hf.T @ hf, rhs)  # alpha = x[:, 1] + s x[:, 0]
+        except np.linalg.LinAlgError:  # a dependent set: start again from an NNLS
+            tight, zero = _tight_set(h, nb, c, top - s, nonneg)
+            continue
+        a, b = float(x[:, 0].sum()), float(x[:, 1].sum())  # sum(alpha) = b + a s
+        q = float(rhs[:, 1] @ x[:, 1])
+        disc = b * b - a * (q - t_free)
+        if disc > 0.0:
+            root = math.sqrt(disc)
+            end = (t_free - q) / (b + root) if b > 0.0 else (root - b) / a
+        else:  # no root: walk to sum(alpha) = 0, or with no tight plane until an event
+            end = -b / a if a > 0.0 else math.inf
+        sign = 1.0 if end >= s else -1.0
+        p = hw @ x  # H_W alpha = p[:, 1] + s p[:, 0] on every row
+        f0 = np.where(zero, 0.0, h - p[:, 1])  # f = f0 + s f1
+        f1 = np.where(zero, 0.0, -p[:, 0])
+        hv = nb.T @ np.column_stack([f0, f1])
+        # One affine quantity per plane (alpha on W, the slack t - h_j^T f
+        # off it) and per coordinate (the bound multiplier on B, f off it).
+        v0, v1 = top - hv[:, 0], -1.0 - hv[:, 1]
+        v0[tight], v1[tight] = x[:, 1], x[:, 0]
+        if nonneg:
+            v0 = np.concatenate([v0, np.where(zero, p[:, 1] - h, f0)])
+            v1 = np.concatenate([v1, np.where(zero, p[:, 0], f1)])
+        rate = sign * v1
+        dist = np.full(v0.size, np.inf)
+        np.divide(np.maximum(v0 + s * v1, 0.0), -rate, out=dist, where=rate < 0.0)
+        event = int(np.argmin(dist))
+        if dist[event] < abs(end - s):
+            s += sign * dist[event]
+        else:
+            event = None
+            s = end if math.isfinite(end) else s
+        if event is None and disc > 0.0:
+            total = b + a * end  # sum(alpha) at the root, sqrt(disc)
+            lam = np.zeros(k)
+            lam[tight] = (x[:, 1] + end * x[:, 0]) / total
+            nu = np.zeros(problem.m) if nonneg else None
+            if nonneg:
+                nu[zero] = (p[zero, 1] + end * p[zero, 0] - h[zero]) / total
+            f = f0 + end * f1
+            candidate = SubproblemSolution(f, top - end, lam, 0.5 / total, nu, changes, False)
+            candidate.residuals = kkt_residuals(problem, candidate)
+            lowest = min(lam.min(), nu.min() if nonneg else 0.0)
+            if candidate.residuals.worst() <= _TOL and lowest >= -_TOL:
+                candidate.converged = True
                 return candidate
-
-        np.divide(z, s, out=d)
-        np.multiply(jac, d[:, None], out=jac_d)
-        jac_d.T.dot(jac, out=m_mat)
-        # With d >= 0, a NaN or inf in any term d_i J_ij J_il of J^T D J also
-        # reaches a diagonal term d_i J_ij^2: the diagonal shows it alone.
-        if not np.isfinite(diag).all():
-            reason = "non-finite"
+        if changes == _MAX_CHANGES:
             break
-        shift[:m] = 2.0 * z[-1] + 1e-12
-        np.add(diag, shift, out=diag)
-        factor, info = dpotrf(m_mat, lower=1, clean=0)
-        if info < 0:
-            raise NumericsFailure(f"dpotrf: illegal value in argument {-info}")
-        if info > 0:
-            reason = "factorization"
-            break
-
-        mu = gap / p
-        # Predictor: pure Newton step toward complementarity zero. The gap it
-        # would reach, (s + a ds).(z + a dz), is expanded into three dots, so
-        # no trial point is formed.
-        np.multiply(s, z, out=sz)
-        newton(r_p, sz, pred_parts)
-        dx_a, ds_a, dz_a = pred_parts
-        step_a = _step_length(state[n:], pred[n:], ratios)
-        a = min(1.0, step_a)
-        gap_aff = gap + a * (float(s.dot(dz_a)) + float(ds_a.dot(z)))
-        mu_aff = (gap_aff + a * a * float(ds_a.dot(dz_a))) / p
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0.0 else 0.0
-
-        # Corrector: complementarity second-order term plus recentring, and
-        # the exact quadratic term of the ball row (its linearization error
-        # is exactly ||df||^2), reusing the same factorization.
-        np.copyto(rp2, r_p)
-        rp2[-1] += float(dx_a[:m].dot(dx_a[:m]))
-        np.multiply(ds_a, dz_a, out=target)
-        np.add(sz, target, out=target)
-        np.subtract(target, sigma * mu, out=target)
-        newton(rp2, target, corr_parts)
-        if not np.isfinite(corr).all():
-            reason = "non-finite"
-            break
-        step_c = _step_length(state[n:], corr[n:], ratios)
-
-        # Centering and second-order terms may raise the raw KKT residual a
-        # little; that is normal. A blow-up means the step left the region
-        # where the ball linearization is any good, so take the predictor
-        # step instead, at the same fraction to the boundary; on real inputs
-        # only near-duplicate vectors' tiny trust regions need it. It is not
-        # tested: a damped search on it gave up on near-tie instances, where
-        # the full step goes on to certify.
-        phi0 = phi
-        advance(min(1.0, eta * step_c), corr)
-        gap, phi = evaluate()
-        if not math.isfinite(phi) or phi > 10.0 * phi0 + _TOL:
-            advance(min(1.0, eta * step_a), pred)
-            gap, phi = evaluate()
-        state[:] = trial_state
-
-    raise SolverStall(
-        f"no certificate after {it + 1} iterations ({reason}; gap {gap:.3e}, tol {_TOL:.1e})",
-        solution=_package(problem, x, z, gap, it + 1, False),
-        reason=reason,
-    )
-
-
-def _package(problem, x, z, gap, iterations, converged):
-    m, k = problem.m, problem.k
-    f = x[:m].copy()
-    t = float(x[m])
-    lam = z[:k].copy()
-    bound_lam = z[k : k + m].copy() if problem.nonneg else None
-    lam_ball = float(z[-1])
-    sol = SubproblemSolution(
-        f=f,
-        t=t,
-        lam=lam,
-        lam_ball=lam_ball,
-        bound_lam=bound_lam,
-        gap=float(gap),
-        iterations=int(iterations),
-        converged=bool(converged),
-    )
-    sol.residuals = kkt_residuals(problem, sol)
-    return sol
-
+        if event is None:
+            tight, zero = _tight_set(h, nb, c, top - s, nonneg)
+        elif event < k:
+            tight[event] = not tight[event]
+        else:
+            zero[event - k] = not zero[event - k]
+    message = f"no certificate after {_MAX_CHANGES} working-set changes (tol {_TOL:.1e})"
+    raise SolverStall(message, solution=candidate, reason="cap")

@@ -35,7 +35,7 @@ from incoframes.design import _fork_map
 
 pytestmark = pytest.mark.acceptance
 
-SOLVER_TOL = 1e-8  # the duality gap every solve_subproblem call is certified to
+SOLVER_TOL = 1e-8  # the KKT tolerance every solve_subproblem call is certified to
 
 
 def report(name, ok, detail):

@@ -10,8 +10,10 @@ import types
 from pathlib import Path
 
 import incoframes
+import incoframes.cli
 import incoframes.design
 import incoframes.frames
+import incoframes.minimax
 import incoframes.sparse
 
 PUBLIC = [
@@ -81,26 +83,32 @@ def test_one_path_per_job():
         (incoframes.frames, "average_coherence"),
         (incoframes.frames, "frame_potential"),
         (incoframes.sparse, "_sparse_codes"),
+        # One solver: the interior-point loop and its kernels are gone.
+        (incoframes.minimax, "_step_length"),
+        (incoframes.minimax, "_MAX_ITER"),
+        (incoframes.cli, "_load_lapack"),
     ]:
         assert not hasattr(incoframes, name), name
         assert not hasattr(module, name), name
     assert not hasattr(incoframes.Frame, "gram")
+    assert "gap" not in incoframes.SubproblemSolution.__dataclass_fields__
     # The solver's tolerance and iteration cap are constants, not knobs.
     assert list(inspect.signature(incoframes.solve_subproblem).parameters) == ["problem"]
     assert "extra" not in inspect.signature(incoframes.write_frame).parameters
 
 
-def test_import_loads_no_lapack():
-    # scipy.linalg costs about 30 MB and 0.2 s; the first solve loads it, not the import.
+def test_solve_loads_neither_optimize_nor_linalg():
+    # A solve loads scipy's compiled NNLS by file: importing scipy.optimize
+    # would cost about 0.5 s and 20 MB, and scipy.linalg about 0.2 s and 30 MB.
     code = (
         "import sys, incoframes\n"
-        "print('scipy.linalg' in sys.modules)\n"
         "frame = incoframes.make_simplex_etf(3)\n"
         "incoframes.solve_subproblem(incoframes.subproblem(frame, 0))\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "incoframes.run(incoframes.DesignConfig(m=3, n_vectors=5, sweeps=1, nonneg=True))\n"
+        "print([name for name in ('scipy.optimize', 'scipy.linalg') if name in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["[]"]
 
 
 def _bench_tracing():
@@ -126,3 +134,23 @@ def test_traced_sparse_run_fires_its_spans():
         incoframes.run_cs_experiment(incoframes.CsExperiment(12, 18, 2, trials=3, seed=1), frame)
         incoframes.adapt_dictionary(y, frame, 2, 1)
     assert {"sparse.omp", "linalg.least_squares", "linalg.svd"} <= tracer.names()
+
+
+def test_traced_design_run_fires_its_spans():
+    # A solver change that stops certifying, or a span that no longer
+    # fires, fails here before it can fail a traced benchmark run.
+    tracing = _bench_tracing()
+    tracer = tracing.Tracer(incoframes.SolverStall)
+    with tracer.installed():
+        incoframes.run(incoframes.DesignConfig(m=5, n_vectors=10, sweeps=3, seed=1))
+    assert {
+        "minimax.solve_subproblem",
+        "minimax.TrustSubproblem",
+        "frames.frame_metrics",
+        "linalg.unit_polar",
+    } <= tracer.names()
+    assert tracer.solves
+    for _, _, _, iterations, worst, _ in tracer.solves:
+        assert isinstance(iterations, int) and iterations >= 0
+        assert worst is not None and worst <= 1e-7
+    assert tracing.kkt_violations(tracer.solves) == 0

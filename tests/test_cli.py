@@ -217,25 +217,6 @@ class TestParallelRuns:
         assert calls == failing_call
         assert len(os.listdir("/dev/fd")) == descriptors
 
-    def test_design_loads_lapack_before_any_run(self, tmp_path):
-        # A fresh interpreter: the first solve must not import LAPACK inside
-        # a timed run, nor in every forked worker. cs-bench's designed-fresh
-        # source designs frames in its forked workers too.
-        for argv in (("design", "--m", "3", "--N", "4", "--K", "1"),
-                     (*self.CS_BENCH, "--m-list", "6,8")):
-            code = (
-                "import sys, incoframes.cli as cli\n"
-                "fork_map = cli._fork_map\n"
-                "def spy(fn, items):\n"
-                "    print('scipy.linalg.lapack' in sys.modules)\n"
-                "    return fork_map(fn, items)\n"
-                "cli._fork_map = spy\n"
-                f"cli.main([*{argv!r}, '--out', {str(tmp_path / argv[0])!r}])\n"
-            )
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  check=True, timeout=60)
-            assert proc.stdout.split()[0] == "True", argv[0]
-
     def test_cs_bench_m_list_matches_single_m_calls(self, tmp_path, capsys):
         args = self.CS_BENCH
         assert run_cli(*args, "--m-list", "6,8", "--out", str(tmp_path / "both")) == 0
@@ -598,45 +579,45 @@ class TestPinnedOutputs:
 
     PINS = {
         "adapt-images/frame_m4_n8_seed0_nonneg_adapt_trace.csv":
-            "217d46f829c83e9094f6ab72dce6c7140c0e9195b02f153772d4469da0772c0f",
+            "c124290566df9bba78f66b2b19c3cf528403c7dda7dc177943da1b4da79f2edb",
         "adapt-images/frame_m4_n8_seed0_nonneg_adapted.frame":
-            "d1b50198d2359b80884d8ece6585b2fe261813907afbc0d6dca36b841874b61d",
+            "25ae57ba7a4263df163c9849dadc49f35083a10ec412550983bbf5b3793daef0",
         "adapt/frame_m5_n10_seed1_adapt_trace.csv":
-            "4f661932d0ce96b40344f16bf9ff7cc2ba8e05b6ca518706cd093a56bf0772a8",
+            "ab52308e60ef89ee56d1ec6ff14c3b30faa089e7c3080e8d08e9c8ff2c653ae3",
         "adapt/frame_m5_n10_seed1_adapted.frame":
-            "f99056b4f4f4fdca20cc97fc3176a0187df403e3db7e5e8e786044e2c1b27142",
+            "c69d926d48aadd9e9939f07c93b447cb783466ce51d5969f702bc594c23d3b47",
         "config/frame_m4_n8_seed3.frame":
-            "23ae58b09da8282e66366089d13545b16c14175be18b7d5f0c13f42d836b8c8c",
+            "4f0db93768eed762dd7c1bf555211045f8c2db3aaffb55cf972c88af5840dd56",
         "config/frame_m4_n8_seed4.frame":
-            "3e3d0da7938d26092cd3e211219083ba86e8e47b8768624dac829bbf53130046",
+            "3c94267a90168f6268c6f0eabda6e29d3e94881c8246291242e0fe37a834ac03",
         "config/manifest_m4_n8_seed3.json":
-            "572f8a38c297e9c47400d9b43317dc29cd89eaa72f7aa9a2239a291ec63e64fa",
+            "d9adee0ea39bb5b002bbc99e1168fcb81d725371d9fb01b84aa093280a46226d",
         "config/manifest_m4_n8_seed4.json":
-            "bcdbe1ce3edb9f96e16a44376555a4dc9e0794618e83c78e0a41f73f5fbcda87",
+            "674e24d11b01f35c887da11f7eb6d33989760d650bd23e862cee6aeedaaaeaf4",
         "cs/cs_bench.csv":
-            "e0032c497bc7859b0a66032dddbaabf9b28380a709b9346cca6bc597b4364aa4",
+            "7151a3271efdb3606cb4fb33103c6e5297baa5647fd506063562a32ee78b324f",
         "cs/cs_bench.svg":
-            "6b51fdaddb9dedff635d17140e3a64679acc8560dbf00eea40b5813ac2f9b61d",
+            "2cb54b2dabd552814054f45b5e1650c1a08ba823546e0281741d067caa34ea26",
         "cs/sensing_m6_n16.frame":
-            "23a1a63d5554d4267d116f67e6f598ac5989f1c47e58a91db13ccbc40fd1fb8b",
+            "358a9ae974a388fd6fe13096121786bb186aa070e90664e326147b89e1938edb",
         "cs/sensing_m8_n16.frame":
-            "2a57aeb3b3bc954f3daa2567b81bf63643e870b5637375b5a2788102b27974fe",
+            "daaa4c029691118afb8ba9eeab3a08bc79ba4ba097c05b1b4fa7f15cd3140329",
         "design/frame_m5_n10_seed1.frame":
-            "455798f66ccf85c3c035d75dcc419209c8e3ebe5447bf13daeb217cef78f00a2",
+            "4fc3b84db8d3faf05e49ccceeb5ff5f25809953742f3945f690d5c34e65ca3d3",
         "design/frame_m5_n10_seed2.frame":
-            "d325bf70462120b50b9e0e9caed7e7bafb438dc065a148a3681ab18c648d8bc0",
+            "481867d29e26a5a74c9cb675e9f0935d54aae39e9a6d5297e590add10f89cf30",
         "design/manifest_m5_n10_seed1.json":
-            "9013e0119ec4eaad69df6db563db71b1130970042de2a6207b1b1f48992fa0a7",
+            "3d5c471d0d149aee83ffab791ee487de1acba9052b1c8d2d7fdd36f7e8ab1ddb",
         "design/manifest_m5_n10_seed2.json":
-            "a71d86405e9f0b8b38ea9d22881efbe385cc819c7cb255dcd4f0830cae07ccf7",
+            "6c49f438220c0447090657bad7f2e0c05652d9f2e64222e6cb1135dfc3ae2a28",
         "nonneg/frame_m4_n8_seed0_nonneg.frame":
-            "e596073d0dde34ef0fb4675bb11e5ea435573b1fb8a62c8902748c61be7509d0",
+            "4697e342e2d69f647608993ef8bb59b1331c17e975a069ef5229bbc297b2b695",
         "nonneg/manifest_m4_n8_seed0_nonneg.json":
-            "81413009dedc37e4220d40309393526beff1ba1083e466ca8f0363d962a258c8",
+            "f69ca60199958866316b053775c5f24c9efb3f74b8d86119563d97fc86935f3f",
         "profile.csv":
-            "097f620d3d26cc807863d045e6dd262ba516e1ce26e5ed7f526c86453828c039",
+            "44288787bc922785887cfaf5360ad41d4c7c2ee97efc5d7808dcf3a761cc949c",
         "stdout":
-            "b4bc7ad106da96941bbf3b8caa4200dc17d475f161e5b7a8dd903139a6c6e2a4",
+            "ac68304af645e97c55e331b386018dd888f2be3db9378dcdd140fa699fb46398",
     }
 
     @staticmethod

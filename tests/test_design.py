@@ -460,23 +460,24 @@ class TestPinnedRuns:
     The digests are sha256 of ``frame.vectors.tobytes()``. A refactor of the
     solver or the sweep must reproduce them exactly; they move only in a
     recorded fingerprint re-base, which lists the old and new values in
-    CHANGES.md. Neither run skips a vector, so both pin that no solve
-    stalls (the two the nonneg run once skipped as stalls are
-    ``tests/data/nonneg_stalls.npz``). The tie gate is covered by
-    ``test_simplex_etf_is_tie_skipped``.
+    CHANGES.md. The signed run skips one vector in sweep 2, at the tie gate:
+    its last exact step left m neighbors tied at its largest correlation.
+    The nonneg run skips none. So both pin that no solve stalls (the two
+    the nonneg run once skipped as stalls are ``tests/data/nonneg_stalls.npz``).
+    The tie gate is also covered by ``test_simplex_etf_is_tie_skipped``.
     """
 
     # (config, digest, skipped vectors per sweep, why they were skipped)
     PINS = {
         "signed-15x30": (
             DesignConfig(m=15, n_vectors=30, sweeps=12, seed=101, eps_stop=1e-3),
-            "c333b556cf196c7012b9382f5f70f671dc414c5b425b3caecbc86bb68e77a7a2",
-            [0] * 12,
+            "2e927b5099d5e5fe3104a70925169eccd1b89ebc129cf4657d7bca463402d037",
+            [0, 1] + [0] * 10,
             "tie_skips",
         ),
         "nonneg-20x40": (
             DesignConfig(m=20, n_vectors=40, sweeps=8, seed=101, nonneg=True),
-            "694b9072418e357ead1014449e7a1a608819b5d84ab2ed2be10751035ce59177",
+            "4c10c8100b957fdc1277c356f1579b69c2d8767b562b25962b92809772bc14d3",
             [0] * 8,
             "solver_stalls",
         ),

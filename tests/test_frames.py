@@ -64,6 +64,19 @@ class TestFrameContainer:
             Frame(v)
 
 
+class TestUnitColumns:
+    def test_columns_come_back_unit(self):
+        v = unit_columns(np.random.default_rng(5).standard_normal((16, 24)))
+        assert np.abs(np.linalg.norm(v, axis=0) - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("shape", [(11, 16, 24), (16,)], ids=["stack", "vector"])
+    def test_rejects_other_ranks(self, shape):
+        # A stack of dictionaries would be normalized across the stack, not
+        # per column: its column norms came back between 1.2 and 1.3.
+        with pytest.raises(InvalidInput):
+            unit_columns(np.random.default_rng(5).standard_normal(shape))
+
+
 class TestWelchBound:
     def test_known_values(self):
         assert welch_bound(15, 30) == pytest.approx(0.1857, abs=5e-5)
