@@ -129,7 +129,7 @@ def _cmd_design(args):
 
 
 def _cmd_analyze(args):
-    frame, header = read_frame(args.frame)
+    frame, _ = read_frame(args.frame)
     fm = frame_metrics(frame)
     cert = certify_etf(frame)
     csv_path = (

@@ -134,7 +134,6 @@ def _prepare(work, i, nonneg, tie_gate):
     """
     col = work[:, i]
     corr = work.T @ col
-    corr[i] = 0.0
     if not nonneg:
         neg = corr < 0.0
         if neg.any():
@@ -147,7 +146,7 @@ def _prepare(work, i, nonneg, tie_gate):
     if tie_gate and gmax > 0.0 and (corr >= gmax * (1.0 - _TIE_REL)).sum() >= work.shape[0]:
         return None
     return TrustSubproblem(
-        reference=col.copy(),
+        reference=col,
         neighbors=np.delete(work, i, axis=1),
         radius_sq=(1.0 - _RADIUS_SLACK) * (1.0 - gmax * gmax),
         nonneg=nonneg,

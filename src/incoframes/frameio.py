@@ -346,6 +346,8 @@ def extract_patches(image, patch=8):
     flattens each block row-major, subtracts its mean, drops blocks with
     norm below 1e-6, and normalizes the rest. Returns (patch*patch, count).
     """
+    if patch < 1:
+        raise InvalidInput(f"patch size must be >= 1, got {patch}")
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or min(image.shape) < patch:
         raise InvalidInput(f"image too small for {patch}x{patch} patches: {image.shape}")

@@ -16,11 +16,11 @@ start level, and a walk of exact events carries it to the optimal level.
 
 The multipliers are part of the contract: at an optimum
 
-    H lam + 2 lam_ball (f - h) = 0,   sum(lam) = 1,   lam >= 0,
-    t = 2 lam_ball (f^T h - ||f||^2),
+    H lam - nu + 2 lam_ball (f - h) = 0,   sum(lam) = 1,   lam, lam_ball, nu >= 0,
+    t = 2 lam_ball (f^T h - ||f||^2)      (nu, the bound multipliers, in nonneg mode only),
 
 and the ball constraint is active. ``kkt_residuals`` measures how well a
-candidate solution satisfies that system.
+candidate satisfies that system, dual feasibility included.
 """
 from __future__ import annotations
 
@@ -101,14 +101,15 @@ class TrustSubproblem:
 
 
 class KktResiduals(NamedTuple):
-    """Max-norm residuals of the optimality system at a candidate point."""
+    """Max-norm residuals of the optimality system, dual feasibility included."""
 
     stationarity: float
     complementarity: float
     primal: float
+    dual: float  # the largest violation of lam >= 0, lam_ball >= 0 and nu >= 0
 
     def worst(self):
-        return max(self.stationarity, self.complementarity, self.primal)
+        return max(self.stationarity, self.complementarity, self.primal, self.dual)
 
 
 @dataclass
@@ -127,7 +128,6 @@ class SubproblemSolution:
     lam_ball: float
     bound_lam: np.ndarray | None
     iterations: int
-    converged: bool
     residuals: KktResiduals | None = None
 
 
@@ -149,10 +149,11 @@ def kkt_residuals(problem, solution):
     comp = float(np.abs(lam * g_lin).max())
     comp = max(comp, abs(lam_ball * g_ball))
     primal = max(0.0, float(g_lin.max()), g_ball)
+    dual = max(0.0, float(-lam.min()), -lam_ball, float(-nu.min()))
     if nonneg:
         comp = max(comp, float(np.abs(nu * f).max()))
         primal = max(primal, float((-f).max()))
-    return KktResiduals(stationarity=stat, complementarity=comp, primal=primal)
+    return KktResiduals(stationarity=stat, complementarity=comp, primal=primal, dual=dual)
 
 
 @functools.cache
@@ -215,11 +216,11 @@ def solve_subproblem(problem):
     gives the set at a start level, and s walks toward the root. At the
     first event on the way (a multiplier or a slack reaching 0) the set
     changes, ties going to the lowest index, planes first. At the root
-    lam = alpha / sum(alpha) and lam_ball = 1 / (2 sum(alpha)), returned with
-    ``converged=True`` once every KKT residual is within ``_TOL`` (1e-8) and
-    no multiplier is below -``_TOL``. Otherwise, or on a singular set, an
-    NNLS at the current level restarts the walk. ``iterations`` counts the
-    working-set changes; after ``_MAX_CHANGES`` (100) the solve raises
+    lam = alpha / sum(alpha) and lam_ball = 1 / (2 sum(alpha)), returned
+    once ``kkt_residuals``, dual feasibility included, are all within
+    ``_TOL`` (1e-8). Otherwise, or on a singular set, an NNLS at the current
+    level restarts the walk. ``iterations`` counts the working-set changes;
+    after ``_MAX_CHANGES`` (100) the solve raises
     ``SolverStall(reason="cap")`` carrying the last candidate (or None).
     """
     h, nb, big_t, nonneg = problem.reference, problem.neighbors, problem.radius_sq, problem.nonneg
@@ -230,17 +231,18 @@ def solve_subproblem(problem):
     # (1 - sqrt(T)) c_max: the root lies at or beyond s = sqrt(T) c_max. With
     # c_max <= 0 no plane is tight there, but the top one is at s = sqrt(T).
     s = math.sqrt(big_t) * (top if top > 0.0 else 1.0)
-    tight, zero = _tight_set(h, nb, c, top - s, nonneg)
-    candidate = None
+    tight = candidate = None
     for changes in range(_MAX_CHANGES + 1):
+        if tight is None:  # the start, a singular set or a failed root
+            tight, zero = _tight_set(h, nb, c, top - s, nonneg)
         hw = nb[:, tight]
         hf = np.where(zero[:, None], 0.0, hw)  # H_W on the free rows
         t_free = big_t - float(h[zero] @ h[zero])
         rhs = np.column_stack([np.ones(hw.shape[1]), hf.T @ h - top])
         try:
             x = np.linalg.solve(hf.T @ hf, rhs)  # alpha = x[:, 1] + s x[:, 0]
-        except np.linalg.LinAlgError:  # a dependent set: start again from an NNLS
-            tight, zero = _tight_set(h, nb, c, top - s, nonneg)
+        except np.linalg.LinAlgError:  # a dependent set
+            tight = None
             continue
         a, b = float(x[:, 0].sum()), float(x[:, 1].sum())  # sum(alpha) = b + a s
         q = float(rhs[:, 1] @ x[:, 1])
@@ -279,16 +281,12 @@ def solve_subproblem(problem):
             if nonneg:
                 nu[zero] = (p[zero, 1] + end * p[zero, 0] - h[zero]) / total
             f = f0 + end * f1
-            candidate = SubproblemSolution(f, top - end, lam, 0.5 / total, nu, changes, False)
+            candidate = SubproblemSolution(f, top - end, lam, 0.5 / total, nu, changes)
             candidate.residuals = kkt_residuals(problem, candidate)
-            lowest = min(lam.min(), nu.min() if nonneg else 0.0)
-            if candidate.residuals.worst() <= _TOL and lowest >= -_TOL:
-                candidate.converged = True
+            if candidate.residuals.worst() <= _TOL:
                 return candidate
-        if changes == _MAX_CHANGES:
-            break
         if event is None:
-            tight, zero = _tight_set(h, nb, c, top - s, nonneg)
+            tight = None
         elif event < k:
             tight[event] = not tight[event]
         else:

@@ -200,8 +200,7 @@ def brute_force_circle(problem, step=1e-3):
 def check_invariants(problem, sol):
     h, big_t = problem.reference, problem.radius_sq
     worst = sol.residuals.worst()
-    assert sol.converged
-    assert worst <= 10.0 * SOLVER_TOL
+    assert worst <= SOLVER_TOL
     dist = float((sol.f - h) @ (sol.f - h))
     assert abs(dist - big_t) <= 1e-8  # optimum sits on the trust boundary
     assert sol.lam.min() >= -1e-9

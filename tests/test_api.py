@@ -92,6 +92,8 @@ def test_one_path_per_job():
         assert not hasattr(module, name), name
     assert not hasattr(incoframes.Frame, "gram")
     assert "gap" not in incoframes.SubproblemSolution.__dataclass_fields__
+    # One certificate decides an answer: no flag beside the residuals.
+    assert "converged" not in incoframes.SubproblemSolution.__dataclass_fields__
     # The solver's tolerance and iteration cap are constants, not knobs.
     assert list(inspect.signature(incoframes.solve_subproblem).parameters) == ["problem"]
     assert "extra" not in inspect.signature(incoframes.write_frame).parameters

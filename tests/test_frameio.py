@@ -299,6 +299,14 @@ class TestPatches:
         with pytest.raises(InvalidInput):
             extract_patches(np.ones((16, 16)), patch=8)
 
+    @pytest.mark.parametrize("patch", [0, -2])
+    def test_patch_size_below_one(self, patch, tmp_path):
+        with pytest.raises(InvalidInput, match="patch size"):
+            extract_patches(np.ones((16, 16)), patch=patch)
+        (tmp_path / "a.pgm").write_text("P2\n2 2\n255\n0 1\n2 3\n")
+        with pytest.raises(InvalidInput, match="patch size"):
+            load_patch_matrix(tmp_path, patch=patch)
+
     def test_load_patch_matrix_sorted_concat(self, tmp_path):
         rng = np.random.default_rng(7)
         for name in ("b.pgm", "a.pgm"):
