@@ -27,7 +27,7 @@ print(f"planted rotation is {q_true.shape[0]} x {q_true.shape[1]}, data has {dat
 result = adapt_dictionary(data, frame, s=3, iterations=40)
 
 trace = result.error_trace
-print(f"\nrelative error: {trace[0]:.4f} at start -> {trace[-1]:.4f} after {result.iterations} rotations")
+print(f"\nrelative error: {trace[0]:.4f} at start -> {trace[-1]:.4f} after {len(trace) - 1} rotations")
 marks = [0, 1, 2, 5, 10, 20, 40]
 for k in marks:
     print(f"  after {k:2d} rotations: {trace[k]:.4f}")

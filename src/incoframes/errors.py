@@ -18,18 +18,15 @@ class DegenerateVector(InvalidInput):
 
 
 class SolverStall(RuntimeError):
-    """Subproblem solve stopped before certifying optimality.
+    """Subproblem solve hit its working-set change cap before certifying optimality.
 
-    ``reason`` names the exit: ``"cap"``, the working-set change cap of
-    ``solve_subproblem``. ``solution`` is the last uncertified candidate, or
-    None when the solve reached none, so callers can decide whether the
-    partial answer is usable.
+    ``solution`` is the last uncertified candidate, or None when the solve
+    reached none, so callers can decide whether the partial answer is usable.
     """
 
-    def __init__(self, message, solution=None, reason=None):
+    def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
-        self.reason = reason
 
 
 class FrameFormatError(IOError):

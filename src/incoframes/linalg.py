@@ -6,8 +6,6 @@ the package exception types.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidInput, NumericsFailure, RankDeficient
@@ -16,20 +14,12 @@ from .errors import InvalidInput, NumericsFailure, RankDeficient
 _RANK_RTOL = 1e-12
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD ``A = U @ diag(S) @ V.T`` with singular values descending."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-
-def _as_matrix(a, name="a"):
+def _as_matrix(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInput(f"{name} must be a 2-D matrix, got shape {a.shape}")
+        raise InvalidInput(f"a must be a 2-D matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise InvalidInput(f"{name} contains non-finite entries")
+        raise InvalidInput("a contains non-finite entries")
     return a
 
 
@@ -43,7 +33,7 @@ def svd(a):
 
     Returns
     -------
-    SvdResult
+    (U, S, V)
         ``U`` is (m, k), ``S`` is (k,) non-increasing and non-negative,
         ``V`` is (n, k) with ``k = min(m, n)``, so ``a = U @ np.diag(S) @ V.T``.
     """
@@ -52,7 +42,7 @@ def svd(a):
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise NumericsFailure(f"SVD did not converge: {exc}") from exc
-    return SvdResult(U=u, S=s, V=vh.T)
+    return u, s, vh.T
 
 
 def unit_polar(a):

@@ -220,8 +220,8 @@ def solve_subproblem(problem):
     once ``kkt_residuals``, dual feasibility included, are all within
     ``_TOL`` (1e-8). Otherwise, or on a singular set, an NNLS at the current
     level restarts the walk. ``iterations`` counts the working-set changes;
-    after ``_MAX_CHANGES`` (100) the solve raises
-    ``SolverStall(reason="cap")`` carrying the last candidate (or None).
+    after ``_MAX_CHANGES`` (100) the solve raises ``SolverStall`` carrying
+    the last candidate (or None).
     """
     h, nb, big_t, nonneg = problem.reference, problem.neighbors, problem.radius_sq, problem.nonneg
     k = problem.k
@@ -292,4 +292,4 @@ def solve_subproblem(problem):
         else:
             zero[event - k] = not zero[event - k]
     message = f"no certificate after {_MAX_CHANGES} working-set changes (tol {_TOL:.1e})"
-    raise SolverStall(message, solution=candidate, reason="cap")
+    raise SolverStall(message, solution=candidate)

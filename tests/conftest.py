@@ -9,8 +9,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 
 def pytest_collection_modifyitems(config, items):
-    # On 2 vCPUs the unit tests take about 30 s and the acceptance battery
-    # about 145 s of a 174 s run. Run the quick ones first so a broken build
+    # On 2 vCPUs the unit tests take about 20 s and the acceptance battery
+    # about 135 s of a 157 s run. Run the quick ones first so a broken build
     # shows at once. The sort is stable: each group keeps its file and
     # definition order, so the acceptance module's shared fixtures are built
     # just once.

@@ -30,8 +30,7 @@ from incoframes import (
     subproblem,
 )
 from incoframes.frames import correlations, unit_columns
-from incoframes.cli import _timed_run, main as cli_main
-from incoframes.design import _fork_map
+from incoframes.cli import _fork_map, _timed_run, main as cli_main
 
 pytestmark = pytest.mark.acceptance
 

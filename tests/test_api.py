@@ -13,6 +13,7 @@ import incoframes
 import incoframes.cli
 import incoframes.design
 import incoframes.frames
+import incoframes.linalg
 import incoframes.minimax
 import incoframes.sparse
 
@@ -87,9 +88,19 @@ def test_one_path_per_job():
         (incoframes.minimax, "_step_length"),
         (incoframes.minimax, "_MAX_ITER"),
         (incoframes.cli, "_load_lapack"),
+        # The fork map serves only the CLI, and ``svd`` returns a plain triple.
+        (incoframes.design, "_fork_map"),
+        (incoframes.design, "_share"),
+        (incoframes.linalg, "SvdResult"),
     ]:
         assert not hasattr(incoframes, name), name
         assert not hasattr(module, name), name
+    for name in ("os", "pickle", "signal", "threading"):
+        assert not hasattr(incoframes.design, name), name
+    # Nothing stored that another field already says, or that has one value.
+    assert not hasattr(incoframes.SolverStall("stalled"), "reason")
+    assert "iterations" not in incoframes.AdaptationRun.__dataclass_fields__
+    assert list(inspect.signature(incoframes.linalg._as_matrix).parameters) == ["a"]
     assert not hasattr(incoframes.Frame, "gram")
     assert "gap" not in incoframes.SubproblemSolution.__dataclass_fields__
     # One certificate decides an answer: no flag beside the residuals.

@@ -369,6 +369,18 @@ class TestCsBench:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_sparsity_above_an_m_rejected_before_any_design(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(incoframes.cli, "run", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        code = run_cli(
+            "cs-bench", "--N", "16", "--M", "24", "--sparsity", "4", "--m-list", "3,8",
+            "--trials", "5", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert calls == []
+
     def test_unknown_source(self, tmp_path):
         code = run_cli(
             "cs-bench", "--sources", "mystery", "--trials", "2", "--out", str(tmp_path)

@@ -24,7 +24,7 @@ from incoframes import (
     run,
     subproblem,
 )
-from incoframes.design import _fork_map
+from incoframes.cli import _fork_map
 from incoframes.frames import random_unit_frame, unit_columns
 
 
@@ -294,6 +294,21 @@ class TestRun:
         candidates = [rep.initial_coherence] + rep.trace + rep.escape_coherence
         assert abs(mutual_coherence(frame) - min(candidates)) < 1e-12
 
+    def test_escape_that_beats_every_frame_is_returned(self, monkeypatch):
+        # The escape hands back a longer run's frame, better than any sweep's.
+        # Starting from ``initial``, only the escape calls ``unit_polar``.
+        better, _ = run(DesignConfig(m=6, n_vectors=12, sweeps=60, seed=22))
+        monkeypatch.setattr(incoframes.design, "unit_polar", lambda a: better.vectors.copy())
+        start = random_unit_frame(6, 12, np.random.default_rng(23))
+        cfg = DesignConfig(m=6, n_vectors=12, sweeps=3, seed=22, eps_stop=0.9)
+        frame, rep = run(cfg, initial=start)
+        assert rep.escape_sweeps == [3]
+        assert rep.escape_coherence[0] < min([rep.initial_coherence, *rep.trace])
+        assert rep.best_sweep == 3
+        assert rep.final_metrics.mu == rep.escape_coherence[0]
+        assert mutual_coherence(frame) == rep.escape_coherence[0]
+        assert np.allclose(frame.vectors, better.vectors, rtol=0.0, atol=1e-15)
+
     def test_caller_initial_frame(self):
         start = run_in(6, 14, seed=21, sweeps=1)
         cfg = DesignConfig(m=6, n_vectors=14, sweeps=3, seed=21)
@@ -379,7 +394,7 @@ class TestForkMap:
     def test_first_exception_in_item_order(self, monkeypatch, jobs, bad):
         def fn(x):
             if x == bad:
-                raise SolverStall(f"stalled at {x}", reason="cap")
+                raise SolverStall(f"stalled at {x}", solution=x)
             if x > bad:
                 raise ValueError(x)  # later in item order, so never raised
             return x
@@ -391,7 +406,7 @@ class TestForkMap:
                 got.append(x)
         assert got == list(range(bad))
         assert str(info.value) == f"stalled at {bad}"
-        assert info.value.reason == "cap"
+        assert info.value.solution == bad
 
     @pytest.mark.parametrize("failing_call", [1, 2], ids=["first-fork", "second-fork"])
     @pytest.mark.parametrize("failing", ["pipe", "fork"])

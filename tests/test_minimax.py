@@ -439,7 +439,6 @@ class TestWorkingSet:
         monkeypatch.setattr(incoframes.minimax, "_MAX_CHANGES", 0)
         with pytest.raises(SolverStall) as info:
             solve_subproblem(problem)
-        assert info.value.reason == "cap"
         # The walk stopped before any root, so there is no candidate to carry.
         assert info.value.solution is None
         monkeypatch.setattr(incoframes.minimax, "_MAX_CHANGES", 1)

@@ -268,6 +268,33 @@ class TestCsExperiment:
         assert designed.mean_error < random.mean_error
         assert designed.support_rate >= random.support_rate
 
+    @pytest.mark.parametrize("s, m, trials", [(3, 8, 37), (0, 6, 5), (6, 6, 11)])
+    def test_matches_a_per_trial_reference(self, s, m, trials):
+        # Each trial drawn, pursued on its own and scored with 1-D dot
+        # products, as a loop would: the stacked scoring must agree bit for bit.
+        n, m_atoms = 20, 30
+        sensing = random_sensing_frame(m, n, seed=s)
+        f_mat = sensing.vectors
+        errors, exact = [], 0
+        for child in np.random.SeedSequence(8).spawn(trials):
+            rng = np.random.default_rng(child)
+            d = unit_columns(rng.standard_normal((n, m_atoms)))
+            support = rng.choice(m_atoms, size=s, replace=False)
+            a = np.zeros(m_atoms)
+            a[support] = rng.standard_normal(s)
+            phi = f_mat @ d
+            scale = np.linalg.norm(phi, axis=0)
+            scale[scale < 1e-300] = 1.0
+            sup_hat, coef = omp(phi / scale, f_mat @ (d @ a), s)
+            a_hat = np.zeros(m_atoms)
+            a_hat[sup_hat] = coef / scale[sup_hat]
+            denom = float(a @ a)
+            errors.append(float((a - a_hat) @ (a - a_hat)) / denom if denom > 0.0 else 0.0)
+            exact += set(sup_hat.tolist()) == set(support.tolist())
+        res = run_cs_experiment(CsExperiment(n, m_atoms, s, trials, seed=8), sensing)
+        assert np.array_equal(res.errors, errors)
+        assert res.support_rate == exact / trials
+
     def test_trials_do_not_depend_on_their_chunk(self):
         # Spawned seeds are index-stable, so the first five trials draw alike.
         sensing = random_sensing_frame(8, 20, seed=5)
