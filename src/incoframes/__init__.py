@@ -10,7 +10,6 @@ from ._version import __version__
 from .design import (
     DesignConfig,
     SweepReport,
-    initialize,
     run,
     subproblem,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "certify_etf",
     "extract_patches",
     "frame_metrics",
-    "initialize",
     "kkt_residuals",
     "load_patch_matrix",
     "make_planted_dataset",

@@ -150,7 +150,7 @@ def _fork_map(fn, items):
             code = os.waitstatus_to_exitcode(status)
             if code != 0:
                 raise RuntimeError(
-                    f"design worker {w} exited with status {code} before sending its results"
+                    f"worker {w} exited with status {code} before sending its results"
                 )
             shares[w] = pickle.loads(data)
     finally:
@@ -252,11 +252,10 @@ def _cmd_analyze(args):
     return 0
 
 
-def _sensing_for(source, m, args, file_frame):
+def _sensing_for(source, cfg, file_frame):
     if source == "random-gaussian":
-        return random_sensing_frame(m, args.N, [args.seed, m])
+        return random_sensing_frame(cfg.m, cfg.n_vectors, [cfg.seed, cfg.m])
     if source == "designed-fresh":
-        cfg = DesignConfig(m=m, n_vectors=args.N, sweeps=args.design_sweeps, seed=args.seed)
         frame, _ = run(cfg)
         return frame
     # "frame-file": _cmd_cs_bench admits no other source.
@@ -279,9 +278,11 @@ def _cmd_cs_bench(args):
         trials=args.trials,
         seed=args.seed,
     )
+    configs = [
+        DesignConfig(m=m, n_vectors=args.N, sweeps=args.design_sweeps, seed=args.seed)
+        for m in m_list
+    ]
     for m in m_list:
-        if not 2 <= m <= args.N:
-            raise InvalidInput(f"every m needs 2 <= m <= N={args.N}, got m={m}")
         if args.sparsity > m:
             raise InvalidInput(f"sparsity {args.sparsity} exceeds m={m}: omp picks at most m atoms")
     file_frame = None
@@ -296,15 +297,15 @@ def _cmd_cs_bench(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def measure(m):
+    def measure(cfg):
         rows = []
         for source in sources:
-            sensing = _sensing_for(source, m, args, file_frame)
+            sensing = _sensing_for(source, cfg, file_frame)
             rows.append((source, sensing, run_cs_experiment(experiment, sensing)))
         return rows
 
     results = []
-    for m, rows in zip(m_list, _fork_map(measure, m_list)):
+    for m, rows in zip(m_list, _fork_map(measure, configs)):
         for source, sensing, res in rows:
             if source == "designed-fresh":
                 write_frame(out / f"sensing_m{m}_n{args.N}.frame", sensing, seed=args.seed)

@@ -72,9 +72,9 @@ class SweepReport:
     """Full trace of a design run.
 
     ``raw_coherence`` is the coherence of the raw seeded random frame before
-    any refinement; ``initial_coherence`` is the coherence of the frame the
-    sweeps actually start from (after the polar refinement, or of the caller's
-    frame when one is passed in). ``trace[k]`` is the coherence after sweep
+    any refinement (its |entries| in nonneg mode, or the caller's frame when
+    one is passed in); ``initial_coherence`` is the coherence of the frame
+    the sweeps actually start from. ``trace[k]`` is the coherence after sweep
     k+1. ``escape_sweeps`` holds the 1-based sweep indices right after which
     an escape step was applied, and ``escape_coherence`` the coherence right
     after that step. The trace is non-increasing between consecutive escape
@@ -100,24 +100,26 @@ class SweepReport:
     final_metrics: FrameMetrics | None = None
 
 
-def _initial_matrix(cfg):
-    """Seeded column-major start matrix, the coherence of the raw draw when
-    a polar refinement follows it (None in nonneg mode, where the draw is
-    the start), and the generator to keep using for sweep orders."""
+def _start(cfg, initial):
+    """Column-major start matrix, the coherence of the raw matrix it comes from,
+    and the generator for sweep orders. Nonneg mode starts from the seeded
+    draw's |entries|, signed mode from its column-normalized polar factor, and
+    a caller's frame from itself, with a fresh ``default_rng(cfg.seed)``."""
+    if initial is not None:
+        if initial.m != cfg.m or initial.n_vectors != cfg.n_vectors:
+            raise InvalidInput(
+                f"initial frame is {initial.m}x{initial.n_vectors}, "
+                f"config wants {cfg.m}x{cfg.n_vectors}"
+            )
+        work = np.array(initial.vectors, order="F")
+        return work, float(correlations(work)[1].max()), np.random.default_rng(cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    a = random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors
+    raw = random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors
     if cfg.nonneg:
-        return None, np.abs(a), rng
-    raw_mu = float(correlations(a)[1].max())
-    a = np.asfortranarray(unit_columns(unit_polar(a)))
-    return raw_mu, a, rng
-
-
-def initialize(cfg):
-    """Seeded starting frame: |Gaussian| columns in nonneg mode, else the
-    column-normalized orthonormal polar factor of a Gaussian matrix."""
-    _, work, _ = _initial_matrix(cfg)
-    return Frame(work)
+        raw = work = np.abs(raw)
+    else:
+        work = np.asfortranarray(unit_columns(unit_polar(raw)))
+    return work, float(correlations(raw)[1].max()), rng
 
 
 def _prepare(work, i, nonneg, tie_gate):
@@ -203,20 +205,9 @@ def run(cfg, initial=None):
     (Frame, SweepReport)
         The best-coherence frame observed anywhere in the run and the trace.
     """
-    if initial is not None:
-        if initial.m != cfg.m or initial.n_vectors != cfg.n_vectors:
-            raise InvalidInput(
-                f"initial frame is {initial.m}x{initial.n_vectors}, "
-                f"config wants {cfg.m}x{cfg.n_vectors}"
-            )
-        work = np.array(initial.vectors, order="F", copy=True)
-        rng = np.random.default_rng(cfg.seed)
-        raw_mu = None
-    else:
-        raw_mu, work, rng = _initial_matrix(cfg)
-
+    work, raw_mu, rng = _start(cfg, initial)
     mu = float(correlations(work)[1].max())
-    report = SweepReport(raw_coherence=mu if raw_mu is None else raw_mu, initial_coherence=mu)
+    report = SweepReport(raw_coherence=raw_mu, initial_coherence=mu)
     best = work.copy()
     best_mu = mu
     decreases = []

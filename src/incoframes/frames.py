@@ -16,6 +16,13 @@ from .errors import InvalidInput
 _UNIT_TOL = 1e-10
 
 
+def _frozen(a):
+    """A read-only column-major float copy of ``a``; the caller's array stays theirs."""
+    a = np.array(a, dtype=float, order="F")
+    a.flags.writeable = False
+    return a
+
+
 def unit_columns(a):
     """Return a copy of the matrix ``a`` with every column scaled to unit
     Euclidean norm. Any other rank raises ``InvalidInput``: a stack would be
@@ -36,7 +43,7 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
+        v = _frozen(self.vectors)
         if v.ndim != 2:
             raise InvalidInput(f"frame must be a 2-D matrix, got shape {v.shape}")
         m, n = v.shape
@@ -51,10 +58,6 @@ class Frame:
                 f"columns must be unit norm within {_UNIT_TOL:g}; "
                 f"worst deviation {np.abs(norms - 1.0).max():.3e}"
             )
-        # A private column-major copy, frozen against accidental mutation;
-        # the caller's array stays theirs.
-        v = np.array(v, order="F")
-        v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
     @property

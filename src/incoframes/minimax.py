@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, SolverStall
-from .frames import _UNIT_TOL
+from .frames import _UNIT_TOL, _frozen
 
 _TOL = 1e-8  # each KKT residual of a returned solution, inside the 10 * _TOL contract
 _MAX_CHANGES = 100  # working-set changes (walk events and NNLS restarts) per solve
@@ -46,9 +46,10 @@ class TrustSubproblem:
     """One minimax step: reference vector, neighbor columns, squared radius.
 
     ``neighbors`` must have non-negative correlation with ``reference`` and
-    the squared radius must satisfy ``0 < radius_sq < 1 - max_j (h_j^T h)^2``;
-    ``design.subproblem(frame, i)`` builds a valid instance for any vector
-    of a frame.
+    the squared radius must satisfy ``0 < radius_sq < 1 - max_j (h_j^T h)^2``,
+    and in nonneg mode exceed ``||min(h, 0)||^2`` so the region reaches
+    f >= 0; ``design.subproblem(frame, i)`` builds a valid instance for any
+    vector of a frame. Both arrays are stored as private read-only copies.
     """
 
     reference: np.ndarray
@@ -57,8 +58,8 @@ class TrustSubproblem:
     nonneg: bool = False
 
     def __post_init__(self):
-        h = np.asarray(self.reference, dtype=float)
-        nb = np.asarray(self.neighbors, dtype=float)
+        h = _frozen(self.reference)
+        nb = _frozen(self.neighbors)
         if h.ndim != 1 or h.size < 2:
             raise InvalidInput(f"reference must be a vector of length >= 2, got shape {h.shape}")
         if nb.ndim != 2 or nb.shape[0] != h.size or nb.shape[1] < 1:
@@ -83,10 +84,9 @@ class TrustSubproblem:
             raise InvalidInput(
                 f"radius_sq {t:.6g} >= 1 - max correlation^2 = {limit:.6g}; trust region too large"
             )
-        h = h.copy()
-        nb = np.asfortranarray(nb)
-        h.flags.writeable = False
-        nb.flags.writeable = False
+        gap = float(np.square(np.minimum(h, 0.0)).sum()) if self.nonneg else 0.0
+        if t <= gap:
+            raise InvalidInput(f"radius_sq {t:.6g} <= ||min(h, 0)||^2 = {gap:.6g}: misses f >= 0")
         object.__setattr__(self, "reference", h)
         object.__setattr__(self, "neighbors", nb)
         object.__setattr__(self, "radius_sq", t)

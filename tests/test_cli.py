@@ -370,15 +370,17 @@ class TestCsBench:
         assert list(tmp_path.iterdir()) == []
 
     def test_sparsity_above_an_m_rejected_before_any_design(self, tmp_path, monkeypatch):
+        # A negative sweep count fails every m's DesignConfig, built before --out.
         calls = []
         monkeypatch.setattr(incoframes.cli, "run", lambda *args: calls.append(args))
-        out = tmp_path / "out"
-        code = run_cli(
-            "cs-bench", "--N", "16", "--M", "24", "--sparsity", "4", "--m-list", "3,8",
-            "--trials", "5", "--out", str(out),
-        )
-        assert code == 2
-        assert not out.exists()
+        for k, bad in enumerate([["--sparsity", "4"], ["--sparsity", "2", "--design-sweeps", "-1"]]):
+            out = tmp_path / f"out{k}"
+            code = run_cli(
+                "cs-bench", "--N", "16", "--M", "24", "--m-list", "3,8", "--trials", "5",
+                *bad, "--out", str(out),
+            )
+            assert code == 2, bad
+            assert not out.exists(), bad
         assert calls == []
 
     def test_unknown_source(self, tmp_path):

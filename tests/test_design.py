@@ -1,6 +1,7 @@
 """Driver-level behaviour: initialization, subproblem construction, single
 sweeps through ``run``, escape scheduling, and full runs on small frames."""
 
+import dataclasses
 import hashlib
 import os
 import signal
@@ -18,7 +19,6 @@ from incoframes import (
     InvalidInput,
     RankDeficient,
     SolverStall,
-    initialize,
     make_simplex_etf,
     mutual_coherence,
     run,
@@ -26,6 +26,11 @@ from incoframes import (
 )
 from incoframes.cli import _fork_map
 from incoframes.frames import random_unit_frame, unit_columns
+
+
+def seeded_start(cfg):
+    """The frame a run of ``cfg`` starts from: ``run`` with no sweeps."""
+    return run(dataclasses.replace(cfg, sweeps=0))[0]
 
 
 def run_in(m, n, seed, sweeps=2):
@@ -65,23 +70,23 @@ class TestInitialization:
 
     def test_refined_start_coherence_level(self):
         # The polar refinement drops (64,128) starts to roughly 0.36.
-        mus = [mutual_coherence(initialize(DesignConfig(m=64, n_vectors=128, seed=s))) for s in range(20)]
+        mus = [mutual_coherence(seeded_start(DesignConfig(m=64, n_vectors=128, seed=s))) for s in range(20)]
         assert abs(float(np.mean(mus)) - 0.3606) < 0.05
 
     def test_unit_norms(self):
-        for f in (random_unit_frame(7, 19, 3), initialize(DesignConfig(m=7, n_vectors=19, seed=3))):
+        for f in (random_unit_frame(7, 19, 3), seeded_start(DesignConfig(m=7, n_vectors=19, seed=3))):
             norms = np.linalg.norm(f.vectors, axis=0)
             assert np.abs(norms - 1.0).max() < 1e-10
 
     def test_deterministic(self):
-        a = initialize(DesignConfig(m=9, n_vectors=21, seed=11))
-        b = initialize(DesignConfig(m=9, n_vectors=21, seed=11))
-        c = initialize(DesignConfig(m=9, n_vectors=21, seed=12))
+        a = seeded_start(DesignConfig(m=9, n_vectors=21, seed=11))
+        b = seeded_start(DesignConfig(m=9, n_vectors=21, seed=11))
+        c = seeded_start(DesignConfig(m=9, n_vectors=21, seed=12))
         assert np.array_equal(a.vectors, b.vectors)
         assert not np.array_equal(a.vectors, c.vectors)
 
     def test_nonneg_start_is_entrywise_nonneg(self):
-        f = initialize(DesignConfig(m=6, n_vectors=14, seed=4, nonneg=True))
+        f = seeded_start(DesignConfig(m=6, n_vectors=14, seed=4, nonneg=True))
         assert f.vectors.min() >= 0.0
         assert np.abs(np.linalg.norm(f.vectors, axis=0) - 1.0).max() < 1e-10
 
@@ -148,7 +153,7 @@ class TestSubproblem:
 
     @pytest.mark.parametrize("nonneg", [False, True], ids=["signed", "nonneg"])
     def test_sweep_solves_the_same_problem(self, monkeypatch, nonneg):
-        frame = initialize(DesignConfig(m=7, n_vectors=18, seed=12, nonneg=nonneg))
+        frame = seeded_start(DesignConfig(m=7, n_vectors=18, seed=12, nonneg=nonneg))
         cfg = DesignConfig(m=7, n_vectors=18, sweeps=1, seed=3, nonneg=nonneg)
         seen = []
         solve = incoframes.design.solve_subproblem
@@ -191,7 +196,7 @@ class TestSweep:
     """Single sweeps through ``run(cfg, initial=frame)`` with ``sweeps=1``."""
 
     def test_input_frame_untouched_and_first_vector_fixed(self):
-        frame = initialize(DesignConfig(m=7, n_vectors=18, seed=12))
+        frame = seeded_start(DesignConfig(m=7, n_vectors=18, seed=12))
         before = frame.vectors.copy()
         new, report = one_sweep(frame, seed=0)
         assert np.array_equal(frame.vectors, before)
@@ -201,14 +206,14 @@ class TestSweep:
         assert report.updated[0] > 0
 
     def test_every_vector_lands_in_one_bucket(self):
-        frame = initialize(DesignConfig(m=6, n_vectors=16, seed=13))
+        frame = seeded_start(DesignConfig(m=6, n_vectors=16, seed=13))
         _, report = one_sweep(frame, seed=1)
         assert report.updated[0] + report.stalled[0] + report.degenerate[0] == 15
 
     def test_single_sweep_does_not_increase_coherence(self):
         # Each accepted update cannot raise the peak correlation of the
         # touched column beyond the old one plus solver noise.
-        frame = initialize(DesignConfig(m=8, n_vectors=20, seed=14))
+        frame = seeded_start(DesignConfig(m=8, n_vectors=20, seed=14))
         _, report = one_sweep(frame, seed=2)
         assert report.initial_coherence == mutual_coherence(frame)
         assert report.trace[0] <= report.initial_coherence + 1e-9
@@ -230,7 +235,7 @@ class TestSweep:
             run(DesignConfig(m=6, n_vectors=10, sweeps=1), initial=frame)
 
     def test_nonneg_sweep_keeps_entries_nonneg_and_moves_vector_zero(self):
-        frame = initialize(DesignConfig(m=6, n_vectors=18, seed=16, nonneg=True))
+        frame = seeded_start(DesignConfig(m=6, n_vectors=18, seed=16, nonneg=True))
         new, report = one_sweep(frame, seed=3, nonneg=True)
         assert report.best_sweep == 1  # ``new`` is the swept frame
         assert new.vectors.min() >= 0.0
@@ -342,7 +347,7 @@ class TestRun:
         for nonneg in (False, True):
             cfg = DesignConfig(m=6, n_vectors=12, sweeps=2, seed=19, nonneg=nonneg)
             run(cfg)
-            run(cfg, initial=initialize(cfg))
+            run(cfg, initial=seeded_start(cfg))
         assert layouts == [True] * 13
 
 
@@ -439,7 +444,7 @@ class TestForkMap:
             return x
 
         cpus(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match="status 3"):
+        with pytest.raises(RuntimeError, match="^worker 1 exited with status 3"):
             list(_fork_map(fn, range(4)))
 
     def test_interrupt_in_caller_kills_workers(self, monkeypatch):

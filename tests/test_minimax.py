@@ -1,4 +1,5 @@
 """Trust-region minimax subproblem: solver, optimality system, stall test."""
+import dataclasses
 import functools
 import hashlib
 import math
@@ -16,7 +17,6 @@ from incoframes import (
     SolverStall,
     SubproblemSolution,
     TrustSubproblem,
-    initialize,
     kkt_residuals,
     make_simplex_etf,
     run,
@@ -24,6 +24,11 @@ from incoframes import (
     subproblem,
 )
 from incoframes.frames import unit_columns
+
+
+def seeded_start(cfg):
+    """The frame a run of ``cfg`` starts from: ``run`` with no sweeps."""
+    return run(dataclasses.replace(cfg, sweeps=0))[0]
 
 
 def subproblem_for(frame, i, max_neighbors=None):
@@ -41,7 +46,7 @@ def subproblem_for(frame, i, max_neighbors=None):
 @functools.cache
 def harvested_frames(m, n, seed, nonneg=False):
     """Frames two sweeps into a real design run: realistic solver inputs."""
-    start = initialize(DesignConfig(m=m, n_vectors=n, seed=seed, nonneg=nonneg))
+    start = seeded_start(DesignConfig(m=m, n_vectors=n, seed=seed, nonneg=nonneg))
     cfg = DesignConfig(m=m, n_vectors=n, sweeps=2, seed=seed + 1000, nonneg=nonneg)
     return run(cfg, initial=start)[0]
 
@@ -261,6 +266,33 @@ class TestValidationAndFailure:
         nb = unit_columns(np.array([[0.8], [0.6]]))
         with pytest.raises(InvalidInput):
             TrustSubproblem(h, nb, 0.5)  # 1 - 0.8^2 = 0.36 < 0.5
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        # Float, column-major inputs are the layout a no-copy conversion aliases.
+        h = np.array([1.0, 0.0])
+        nb = np.asfortranarray(unit_columns(np.array([[0.8, 0.6], [0.6, 0.8]])))
+        problem = TrustSubproblem(h, nb, 0.3)
+        assert problem.reference is not h and problem.neighbors is not nb
+        assert h.flags.writeable and nb.flags.writeable
+        assert not (problem.reference.flags.writeable or problem.neighbors.flags.writeable)
+        assert problem.neighbors.flags.f_contiguous
+        nb[:, 0] = 0.0
+        h[1] = 1.0
+        assert problem.neighbors[0, 0] == 0.8 and problem.reference[1] == 0.0
+
+    def test_nonneg_region_must_reach_the_orthant(self):
+        # The nearest f >= 0 to h = (0.6, -0.8) is 0.8 away, beyond the
+        # radius: a solve would spend its change cap and stall.
+        with pytest.raises(InvalidInput, match="misses f >= 0"):
+            TrustSubproblem(np.array([0.6, -0.8]), np.array([[1.0], [0.0]]), 0.5, nonneg=True)
+
+    def test_nonneg_region_reaching_the_orthant_certifies(self):
+        # A negative reference entry is fine while the ball reaches f >= 0.
+        h = unit_columns(np.array([[0.7], [0.7], [-0.14]]))[:, 0]
+        problem = TrustSubproblem(h, np.array([[1.0], [0.0], [0.0]]), 0.3, nonneg=True)
+        sol = solve_subproblem(problem)
+        assert sol.residuals.worst() <= incoframes.minimax._TOL
+        assert sol.f.min() >= -1e-12
 
     @pytest.mark.parametrize(
         "name",
