@@ -33,12 +33,16 @@ print(f"f* = {np.round(sol.f, 6)}")
 print(f"closed form (1 - sqrt(T)) h = {np.round((1 - root) * h, 6)}")
 print(f"worst correlation t* = {sol.t:.6f}, closed form {(1 - root) / 3:.6f}")
 
-# The optimum sits exactly on the ball boundary and shrinks the vector
-# toward the origin; normalizing it afterwards is what lowers the
-# correlations against all three neighbors at once.
+# The optimum sits exactly on the ball boundary and only shrinks the vector
+# toward the origin: f* = (1 - sqrt(T)) h keeps h's direction. Normalizing it
+# returns h itself, so every correlation stays 1/3 and the ETF cannot be
+# improved. That is why the sweep's tie gate skips every ETF vector: all of
+# its neighbors tie at the largest correlation.
 dist = float((sol.f - h) @ (sol.f - h))
 print(f"\ndistance^2 to reference: {dist:.9f} (= T on the boundary)")
 print(f"norm of f*: {np.linalg.norm(sol.f):.6f} (shrunk from 1)")
+unit = sol.f / np.linalg.norm(sol.f)
+print(f"largest correlation of f*/||f*||: {np.abs(problem.neighbors.T @ unit).max():.6f} (still 1/3)")
 
 # Every neighbor plane is active here, so the multipliers split evenly
 # and certify that no direction can improve the worst correlation.

@@ -390,9 +390,11 @@ def _build_parser():
     p = sub.add_parser("design", help="optimize an incoherent frame")
     p.add_argument("--m", type=int, help="rows (signal dimension)")
     p.add_argument("--N", type=int, help="columns (number of frame vectors)")
-    p.add_argument("--K", type=int, default=200, help="sweep budget")
+    p.add_argument("--K", type=int, default=DesignConfig.sweeps, help="sweep budget")
     p.add_argument("--seeds", type=str, default="0", help="seed list: 7, 1..10, or 1,4,9")
-    p.add_argument("--eps-stop", type=float, default=1e-5, help="escape trigger threshold")
+    p.add_argument(
+        "--eps-stop", type=float, default=DesignConfig.eps_stop, help="escape trigger threshold"
+    )
     p.add_argument("--nonneg", action="store_true", help="entrywise nonnegative vectors")
     p.set_defaults(handler=_cmd_design)
 

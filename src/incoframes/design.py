@@ -101,10 +101,10 @@ class SweepReport:
 
 
 def _start(cfg, initial):
-    """Column-major start matrix, the coherence of the raw matrix it comes from,
-    and the generator for sweep orders. Nonneg mode starts from the seeded
-    draw's |entries|, signed mode from its column-normalized polar factor, and
-    a caller's frame from itself, with a fresh ``default_rng(cfg.seed)``."""
+    """Column-major start matrix, the raw matrix it comes from (the start
+    itself except in signed seeded runs) and the generator for sweep orders.
+    Nonneg mode starts from the seeded draw's |entries|, signed mode from its
+    polar factor, a caller's frame from itself with ``default_rng(cfg.seed)``."""
     if initial is not None:
         if initial.m != cfg.m or initial.n_vectors != cfg.n_vectors:
             raise InvalidInput(
@@ -112,14 +112,13 @@ def _start(cfg, initial):
                 f"config wants {cfg.m}x{cfg.n_vectors}"
             )
         work = np.array(initial.vectors, order="F")
-        return work, float(correlations(work)[1].max()), np.random.default_rng(cfg.seed)
+        return work, work, np.random.default_rng(cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     raw = random_unit_frame(cfg.m, cfg.n_vectors, rng).vectors
     if cfg.nonneg:
-        raw = work = np.abs(raw)
-    else:
-        work = np.asfortranarray(unit_columns(unit_polar(raw)))
-    return work, float(correlations(raw)[1].max()), rng
+        raw = np.abs(raw)
+        return raw, raw, rng
+    return np.asfortranarray(unit_columns(unit_polar(raw))), raw, rng
 
 
 def _prepare(work, i, nonneg, tie_gate):
@@ -205,8 +204,9 @@ def run(cfg, initial=None):
     (Frame, SweepReport)
         The best-coherence frame observed anywhere in the run and the trace.
     """
-    work, raw_mu, rng = _start(cfg, initial)
+    work, raw, rng = _start(cfg, initial)
     mu = float(correlations(work)[1].max())
+    raw_mu = mu if raw is work else float(correlations(raw)[1].max())
     report = SweepReport(raw_coherence=raw_mu, initial_coherence=mu)
     best = work.copy()
     best_mu = mu

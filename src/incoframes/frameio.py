@@ -227,60 +227,45 @@ def write_line_chart(path, series, xlabel, ylabel, title):
     def py(y):
         return tpad + plot_h * (1.0 - (ty(y) - y_lo) / (y_hi - y_lo))
 
+    def text(x, y, size, body, anchor=' text-anchor="middle"', transform=""):
+        font = f'font-family="sans-serif" font-size="{size}"'
+        return f'<text x="{x}" y="{y}"{anchor} {font}{transform}>{escape(body)}</text>'
+
+    def line(x1, y1, x2, y2, stroke='stroke="black"'):
+        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'
+
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
+    mid_y = f"{(tpad + height - bpad) / 2:.1f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
-        f'<line x1="{lpad}" y1="{tpad}" x2="{lpad}" y2="{height - bpad}" stroke="black"/>',
-        f'<line x1="{lpad}" y1="{height - bpad}" x2="{width - rpad}" '
-        f'y2="{height - bpad}" stroke="black"/>',
-        f'<text x="{(lpad + width - rpad) / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>',
-        f'<text x="18" y="{(tpad + height - bpad) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {(tpad + height - bpad) / 2:.1f})">{escape(ylabel)}</text>',
+        text(f"{width / 2:.1f}", 24, 15, title),
+        line(lpad, tpad, lpad, height - bpad),
+        line(lpad, height - bpad, width - rpad, height - bpad),
+        text(f"{(lpad + width - rpad) / 2:.1f}", height - 12, 12, xlabel),
+        text(18, mid_y, 12, ylabel, transform=f' transform="rotate(-90 18 {mid_y})"'),
     ]
     for x in sorted(set(xs_all)):
-        parts.append(
-            f'<text x="{px(x):.1f}" y="{height - bpad + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{escape(format(x, "g"))}</text>'
-        )
-        parts.append(
-            f'<line x1="{px(x):.1f}" y1="{height - bpad}" x2="{px(x):.1f}" '
-            f'y2="{height - bpad + 4}" stroke="black"/>'
-        )
+        parts.append(text(f"{px(x):.1f}", height - bpad + 18, 11, format(x, "g")))
+        parts.append(line(f"{px(x):.1f}", height - bpad, f"{px(x):.1f}", height - bpad + 4))
     n_ticks = 5
     for t in range(n_ticks + 1):
         yv = y_lo + (y_hi - y_lo) * t / n_ticks
         ypix = tpad + plot_h * (1.0 - t / n_ticks)
         label = f"1e{yv:.1f}" if logy else f"{yv:.3g}"
-        parts.append(
-            f'<text x="{lpad - 8}" y="{ypix + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{escape(label)}</text>'
-        )
-        parts.append(
-            f'<line x1="{lpad - 4}" y1="{ypix:.1f}" x2="{lpad}" y2="{ypix:.1f}" stroke="black"/>'
-        )
+        parts.append(text(lpad - 8, f"{ypix + 4:.1f}", 11, label, anchor=' text-anchor="end"'))
+        parts.append(line(lpad - 4, f"{ypix:.1f}", lpad, f"{ypix:.1f}"))
     for idx, (label, xs, ys) in enumerate(series):
         color = colors[idx % len(colors)]
+        stroke = f'stroke="{color}" stroke-width="2"'
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" {stroke}/>')
         for x, y in zip(xs, ys):
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
         ly = tpad + 16 + 18 * idx
-        parts.append(
-            f'<line x1="{width - rpad - 130}" y1="{ly - 4}" x2="{width - rpad - 105}" '
-            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{width - rpad - 100}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
-        )
+        parts.append(line(width - rpad - 130, ly - 4, width - rpad - 105, ly - 4, stroke))
+        parts.append(text(width - rpad - 100, ly, 12, label, anchor=""))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 

@@ -196,7 +196,6 @@ def certify_etf(frame, tol=1e-6):
     # The Gram of the columns flipped so every correlation with column 0 is
     # non-negative, the orientation ``design.subproblem(frame, 0)`` builds.
     flip = np.where(g[:, 0] < 0.0, -1.0, 1.0)
-    flip[0] = 1.0
     gc = g * flip[:, None] * flip[None, :]
     target = (n - m) / m
     eigen_residual = float(np.abs(gc[1:, 1:] @ np.ones(n - 1) - target).max())

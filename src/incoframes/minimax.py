@@ -19,8 +19,11 @@ The multipliers are part of the contract: at an optimum
     H lam - nu + 2 lam_ball (f - h) = 0,   sum(lam) = 1,   lam, lam_ball, nu >= 0,
     t = 2 lam_ball (f^T h - ||f||^2)      (nu, the bound multipliers, in nonneg mode only),
 
-and the ball constraint is active. ``kkt_residuals`` measures how well a
-candidate satisfies that system, dual feasibility included.
+and the ball constraint is active (lam_ball > 0), except in nonneg mode
+when h with every coordinate some neighbor touches set to 0 lies inside the
+ball: that point meets every plane at t = 0, with lam_ball = 0 and
+nu = H lam. ``kkt_residuals`` measures how well a candidate satisfies that
+system, dual feasibility included.
 """
 from __future__ import annotations
 
@@ -206,6 +209,20 @@ def _tight_set(h, nb, c, t, nonneg):
     return u[:k] > 0.0, zero
 
 
+def _inside(problem, changes):
+    """The inactive-ball answer of a nonneg problem, once certified, or None:
+    h with every coordinate some neighbor touches set to 0, at t = 0, with
+    uniform lam, lam_ball = 0 and nu = H lam."""
+    h, nb = problem.reference, problem.neighbors
+    f = np.where(nb.any(axis=1), 0.0, h)
+    if not f.any() or float(np.square(h - f).sum()) >= problem.radius_sq:
+        return None
+    lam = np.full(problem.k, 1.0 / problem.k)
+    answer = SubproblemSolution(f, 0.0, lam, 0.0, nb @ lam, changes)
+    answer.residuals = kkt_residuals(problem, answer)
+    return answer if answer.residuals.worst() <= _TOL else None
+
+
 def solve_subproblem(problem):
     """Solve a TrustSubproblem exactly, certified by its KKT residuals.
 
@@ -219,9 +236,10 @@ def solve_subproblem(problem):
     lam = alpha / sum(alpha) and lam_ball = 1 / (2 sum(alpha)), returned
     once ``kkt_residuals``, dual feasibility included, are all within
     ``_TOL`` (1e-8). Otherwise, or on a singular set, an NNLS at the current
-    level restarts the walk. ``iterations`` counts the working-set changes;
-    after ``_MAX_CHANGES`` (100) the solve raises ``SolverStall`` carrying
-    the last candidate (or None).
+    level restarts the walk, and a nonneg restart first returns the
+    inactive-ball answer if it is certified. ``iterations`` counts the
+    working-set changes; after ``_MAX_CHANGES`` (100) the solve raises
+    ``SolverStall`` carrying the last candidate (or None).
     """
     h, nb, big_t, nonneg = problem.reference, problem.neighbors, problem.radius_sq, problem.nonneg
     k = problem.k
@@ -234,6 +252,9 @@ def solve_subproblem(problem):
     tight = candidate = None
     for changes in range(_MAX_CHANGES + 1):
         if tight is None:  # the start, a singular set or a failed root
+            # An inactive ball has no root; walks that certify never pay for this.
+            if changes and nonneg and (inside := _inside(problem, changes)) is not None:
+                return inside
             tight, zero = _tight_set(h, nb, c, top - s, nonneg)
         hw = nb[:, tight]
         hf = np.where(zero[:, None], 0.0, hw)  # H_W on the free rows
@@ -268,12 +289,15 @@ def solve_subproblem(problem):
         dist = np.full(v0.size, np.inf)
         np.divide(np.maximum(v0 + s * v1, 0.0), -rate, out=dist, where=rate < 0.0)
         event = int(np.argmin(dist))
-        if dist[event] < abs(end - s):
+        if dist[event] < abs(end - s):  # the set changes on the way to the root
             s += sign * dist[event]
-        else:
-            event = None
-            s = end if math.isfinite(end) else s
-        if event is None and disc > 0.0:
+            if event < k:
+                tight[event] = not tight[event]
+            else:
+                zero[event - k] = not zero[event - k]
+            continue
+        s = end if math.isfinite(end) else s
+        if disc > 0.0:
             total = b + a * end  # sum(alpha) at the root, sqrt(disc)
             lam = np.zeros(k)
             lam[tight] = (x[:, 1] + end * x[:, 0]) / total
@@ -285,11 +309,6 @@ def solve_subproblem(problem):
             candidate.residuals = kkt_residuals(problem, candidate)
             if candidate.residuals.worst() <= _TOL:
                 return candidate
-        if event is None:
-            tight = None
-        elif event < k:
-            tight[event] = not tight[event]
-        else:
-            zero[event - k] = not zero[event - k]
+        tight = None
     message = f"no certificate after {_MAX_CHANGES} working-set changes (tol {_TOL:.1e})"
     raise SolverStall(message, solution=candidate)
