@@ -252,16 +252,6 @@ def _cmd_analyze(args):
     return 0
 
 
-def _sensing_for(source, cfg, file_frame):
-    if source == "random-gaussian":
-        return random_sensing_frame(cfg.m, cfg.n_vectors, [cfg.seed, cfg.m])
-    if source == "designed-fresh":
-        frame, _ = run(cfg)
-        return frame
-    # "frame-file": _cmd_cs_bench admits no other source.
-    return file_frame
-
-
 def _cmd_cs_bench(args):
     m_list = _parse_list(args.m_list, int)
     sources = _parse_list(args.sources)
@@ -300,7 +290,12 @@ def _cmd_cs_bench(args):
     def measure(cfg):
         rows = []
         for source in sources:
-            sensing = _sensing_for(source, cfg, file_frame)
+            if source == "designed-fresh":
+                sensing, _ = run(cfg)
+            elif source == "random-gaussian":
+                sensing = random_sensing_frame(cfg.m, cfg.n_vectors, [cfg.seed, cfg.m])
+            else:  # "frame-file", the one source left
+                sensing = file_frame
             rows.append((source, sensing, run_cs_experiment(experiment, sensing)))
         return rows
 

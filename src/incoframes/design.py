@@ -224,24 +224,22 @@ def run(cfg, initial=None):
         report.stalled.append(counts["tie_skips"] + counts["solver_stalls"])
         decreases.append(mu - mu_new)
         mu = mu_new
-        if mu < best_mu:
-            best_mu = mu
-            best = work.copy()
-            report.best_sweep = k
+        seen = [(mu, work)]
         if (
             not cfg.nonneg
             and len(decreases) >= 3
             and (decreases[-1] + decreases[-2] + decreases[-3]) / 3.0 < cfg.eps_stop
         ):
+            # The escape builds a new array, so the sweep's frame stays as seen.
             work = np.asfortranarray(unit_columns(unit_polar(work)))
             mu = float(correlations(work)[1].max())
             report.escape_sweeps.append(k)
             report.escape_coherence.append(mu)
-            if mu < best_mu:
-                best_mu = mu
-                best = work.copy()
-                report.best_sweep = k
             decreases.clear()
+            seen.append((mu, work))
+        for seen_mu, seen_work in seen:
+            if seen_mu < best_mu:
+                best_mu, best, report.best_sweep = seen_mu, seen_work.copy(), k
 
     best_frame = Frame(best)
     report.final_metrics = frame_metrics(best_frame)

@@ -84,13 +84,12 @@ def read_frame(path):
         raise FrameFormatError(f"{path}: not a frame file")
     if header.get("version") != _FORMAT_VERSION:
         raise FrameFormatError(f"{path}: unsupported version {header.get('version')!r}")
-    try:
-        m, n = int(header["m"]), int(header["n_vectors"])
-        recorded_mu = float(header["coherence"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrameFormatError(f"{path}: incomplete header: {exc}") from exc
-    if not np.isfinite(recorded_mu):
-        raise FrameFormatError(f"{path}: recorded coherence {recorded_mu!r} is not finite")
+    m, n, recorded_mu = (header.get(key) for key in ("m", "n_vectors", "coherence"))
+    # JSON integers for the sizes and a JSON number for the coherence; a bool is neither.
+    if type(m) is not int or type(n) is not int or type(recorded_mu) not in (int, float):
+        raise FrameFormatError(f"{path}: header needs integer m, n_vectors and a numeric coherence")
+    if not abs(recorded_mu) <= 2.0:  # NaN, infinities and integers past float range too
+        raise FrameFormatError(f"{path}: recorded coherence {recorded_mu!r:.30} is out of range")
 
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != m:
@@ -336,20 +335,17 @@ def extract_patches(image, patch=8):
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or min(image.shape) < patch:
         raise InvalidInput(f"image too small for {patch}x{patch} patches: {image.shape}")
-    rows = image.shape[0] // patch
-    cols = image.shape[1] // patch
-    blocks = []
-    for r in range(rows):
-        for c in range(cols):
-            b = image[r * patch : (r + 1) * patch, c * patch : (c + 1) * patch].ravel()
-            b = b - b.mean()
-            norm = float(np.linalg.norm(b))
-            if norm < 1e-6:
-                continue
-            blocks.append(b / norm)
-    if not blocks:
+    rows, cols = image.shape[0] // patch, image.shape[1] // patch
+    tiles = image[: rows * patch, : cols * patch].reshape(rows, patch, cols, patch)
+    blocks = tiles.transpose(0, 2, 1, 3).reshape(rows * cols, patch * patch)
+    blocks = blocks - blocks.mean(axis=1, keepdims=True)
+    # Row-wise dot products through matmul, which rounds like ``b @ b``.
+    norms = np.sqrt((blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0])
+    keep = norms >= 1e-6
+    if not keep.any():
         raise InvalidInput("no usable patches (all constant)")
-    return np.column_stack(blocks)
+    # C order, as the per-block columns were stacked: downstream products round by layout.
+    return np.ascontiguousarray((blocks[keep] / norms[keep, None]).T)
 
 
 def load_patch_matrix(directory, patch=8):

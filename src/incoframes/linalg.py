@@ -60,11 +60,9 @@ def unit_polar(a):
     RankDeficient
         If the smallest singular value is below ``1e-12`` times the largest.
     """
-    a = _as_matrix(a)
-    m, n = a.shape
-    if m > n:
-        raise InvalidInput(f"unit_polar expects m <= n, got shape {a.shape}")
     u, s, v = svd(a)
+    if u.shape[0] > v.shape[0]:
+        raise InvalidInput(f"unit_polar expects m <= n, got shape {np.shape(a)}")
     if s[0] <= 0.0 or s[-1] <= _RANK_RTOL * s[0]:
         raise RankDeficient(
             f"matrix is numerically rank deficient (smin/smax = {s[-1] / max(s[0], 1e-300):.3e})"

@@ -62,7 +62,9 @@ def omp(d, y, s):
     if not (np.isfinite(d).all() and np.isfinite(y).all()):
         raise InvalidInput("non-finite entries in omp inputs")
 
+    # Target j's dictionary is stack[which[j]].
     stack = d if d.ndim == 3 else d[None]
+    which = np.arange(n) if d.ndim == 3 else np.zeros(n, dtype=int)
     supports = np.zeros((n, s), dtype=int)
     coefs = np.zeros((n, s))
     sizes = np.zeros(n, dtype=int)
@@ -71,7 +73,8 @@ def omp(d, y, s):
     for k in range(s):
         going = np.linalg.norm(residual, axis=1) >= _RESIDUAL_TOL
         active, residual = active[going], residual[going]
-        atoms = stack[active] if d.ndim == 3 else stack
+        # np.unique: a shared dictionary broadcasts as one matrix, not one copy per target.
+        atoms = stack[np.unique(which[active])]
         # A stack of matrix-vector products, not one matrix product: each
         # target's correlations round alike however many targets go along,
         # so exact ties (parallel atoms) fall to the same index.
@@ -81,8 +84,7 @@ def omp(d, y, s):
         if active.size == 0:
             break
         supports[active, k] = picks
-        rows = active[:, None] if d.ndim == 3 else 0
-        chosen = np.swapaxes(stack[rows, :, supports[active, : k + 1]], 1, 2)
+        chosen = np.swapaxes(stack[which[active, None], :, supports[active, : k + 1]], 1, 2)
         x, full_rank = least_squares(chosen, targets.T[active])
         active, chosen, x = active[full_rank], chosen[full_rank], x[full_rank]
         sizes[active] = k + 1

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+import tomllib
 import types
 from pathlib import Path
 
@@ -74,6 +75,13 @@ def test_public_names_are_pinned():
     assert sorted(incoframes.__all__) == PUBLIC
 
 
+def test_version_matches_pyproject():
+    # The version is written twice: in the package metadata and in the module.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == incoframes.__version__
+
+
 def test_one_path_per_job():
     # ``run`` drives every sweep; ``correlations`` forms every Gram matrix,
     # ``frame_metrics`` computes every metric and ``omp`` does every pursuit.
@@ -94,6 +102,8 @@ def test_one_path_per_job():
         # ``run`` gets every start from ``_start``; ``sweeps=0`` is the seeded start.
         (incoframes.design, "initialize"),
         (incoframes.design, "_initial_matrix"),
+        # ``cs-bench`` picks each sensing frame inside its one ``measure``.
+        (incoframes.cli, "_sensing_for"),
     ]:
         assert not hasattr(incoframes, name), name
         assert not hasattr(module, name), name

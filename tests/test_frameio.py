@@ -37,6 +37,11 @@ def frame_7x15():
     return random_unit_frame(7, 15, seed=42)
 
 
+def with_header(lines, **fields):
+    """A frame file's ``lines`` with the given header fields replaced."""
+    return [json.dumps({**json.loads(lines[0]), **fields})] + lines[1:]
+
+
 class TestFrameFile:
     def test_round_trip_exact(self, tmp_path, frame_7x15):
         path = tmp_path / "f.frame"
@@ -89,6 +94,19 @@ class TestFrameFile:
             lambda lines: [lines[0]] + [row + ",0.5" for row in lines[1:]],
             lambda lines: [lines[0]] + ["oops" + row[4:] for row in lines[1:]],
             lambda lines: [lines[0]] + [row.replace(row.split(",")[0], "2.0", 1) for row in lines[1:]],
+            lambda lines: [lines[0]] + [row.replace(row.split(",")[0], "nan", 1) for row in lines[1:]],
+            # Seven rows of three unit columns: fewer vectors than dimensions.
+            lambda lines: with_header(lines, n_vectors=3)[:1] + [
+                ",".join(row.split(",")[:3]) for row in lines[1:]
+            ],
+            lambda lines: with_header(lines, m=7.9),
+            lambda lines: with_header(lines, n_vectors=15.2),
+            lambda lines: with_header(lines, m="7"),
+            lambda lines: with_header(lines, n_vectors="15"),
+            lambda lines: with_header(lines, m=True),
+            lambda lines: with_header(lines, coherence=str(json.loads(lines[0])["coherence"])),
+            lambda lines: with_header(lines, coherence=None),
+            lambda lines: with_header(lines, coherence=10**400),
         ],
         ids=[
             "empty",
@@ -99,13 +117,23 @@ class TestFrameFile:
             "extra-column",
             "bad-float",
             "non-unit",
+            "non-finite",
+            "more-rows-than-columns",
+            "fractional-m",
+            "fractional-n",
+            "string-m",
+            "string-n",
+            "bool-m",
+            "string-coherence",
+            "no-coherence",
+            "huge-coherence",
         ],
     )
     def test_corrupt_files_rejected(self, tmp_path, frame_7x15, mangle):
         path = tmp_path / "f.frame"
         write_frame(path, frame_7x15, seed=1)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(mangle(lines)) + "\n")
+        path.write_text("".join(line + "\n" for line in mangle(lines)))
         with pytest.raises(FrameFormatError):
             read_frame(path)
 
@@ -270,15 +298,20 @@ class TestPgm:
             b"P2\n2 2\n10\n1 2 3 20\n",
             b"P5 2 2 10\n" + bytes([1, 2, 3, 20]),
             b"P2\n2 2\n255\n1 2 -3 4\n",
+            b"P2\n2 two\n255\n1 2 3 4\n",
+            b"P2\n2 2\n255\n1 2 x 4\n",
+            None,
         ],
         ids=[
             "wrong-magic", "short-data", "maxval-range", "truncated",
             "p2-above-maxval", "p5-above-maxval", "p2-negative",
+            "bad-header", "bad-sample", "missing",
         ],
     )
     def test_bad_pgm_rejected(self, tmp_path, blob):
         path = tmp_path / "img.pgm"
-        path.write_bytes(blob)
+        if blob is not None:
+            path.write_bytes(blob)
         with pytest.raises(FrameFormatError):
             read_pgm(path)
 

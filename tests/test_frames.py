@@ -63,6 +63,11 @@ class TestFrameContainer:
         with pytest.raises(InvalidInput):
             Frame(v)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["vector", "stack"])
+    def test_rejects_other_ranks(self, shape):
+        with pytest.raises(InvalidInput, match="2-D"):
+            Frame(np.ones(shape))
+
 
 class TestUnitColumns:
     def test_columns_come_back_unit(self):
@@ -75,6 +80,14 @@ class TestUnitColumns:
         # per column: its column norms came back between 1.2 and 1.3.
         with pytest.raises(InvalidInput):
             unit_columns(np.random.default_rng(5).standard_normal(shape))
+
+    @pytest.mark.parametrize("entry", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_rejects_zero_or_non_finite_column(self, entry):
+        a = np.ones((3, 4))
+        a[:, 1] = 0.0
+        a[0, 1] = entry
+        with pytest.raises(InvalidInput, match="zero or non-finite"):
+            unit_columns(a)
 
 
 class TestWelchBound:
@@ -90,6 +103,11 @@ class TestWelchBound:
 
     def test_zero_for_square(self):
         assert welch_bound(6, 6) == 0.0
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (5, 4)], ids=["no-rows", "too-few-vectors"])
+    def test_rejects_impossible_sizes(self, m, n):
+        with pytest.raises(InvalidInput):
+            welch_bound(m, n)
 
     def test_monotone_in_n(self):
         vals = [welch_bound(8, n) for n in range(8, 60)]
@@ -177,6 +195,11 @@ class TestSimplexEtf:
     def test_rejects_tiny_dimension(self):
         with pytest.raises(InvalidInput):
             make_simplex_etf(1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, 0.1])
+    def test_rejects_tolerance_out_of_range(self, tol):
+        with pytest.raises(InvalidInput, match="tol"):
+            certify_etf(make_simplex_etf(3), tol=tol)
 
     def test_non_etf_is_rejected_by_certificate(self):
         rng = np.random.default_rng(10)

@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import hashlib
+import importlib.machinery
 import math
 from pathlib import Path
 
@@ -266,6 +267,34 @@ class TestValidationAndFailure:
         nb = unit_columns(np.array([[0.8], [0.6]]))
         with pytest.raises(InvalidInput):
             TrustSubproblem(h, nb, 0.5)  # 1 - 0.8^2 = 0.36 < 0.5
+
+    @pytest.mark.parametrize(
+        "reference, neighbors, radius_sq, match",
+        [
+            ([1.0], [[1.0]], 0.5, "reference must be a vector"),
+            ([1.0, 0.0], [0.0, 1.0], 0.5, "neighbors must be"),
+            ([1.0, 0.0], [[0.0, 1.0]], 0.5, "neighbors must be"),
+            ([1.0, np.nan], [[0.0], [1.0]], 0.5, "non-finite"),
+            ([1.0, 0.0], [[0.0], [2.0]], 0.5, "neighbor columns must be unit"),
+            ([1.0, 0.0], [[0.0], [1.0]], 0.0, "must lie in"),
+            ([1.0, 0.0], [[0.0], [1.0]], 1.0, "must lie in"),
+        ],
+        ids=["short-reference", "flat-neighbors", "neighbor-rows", "non-finite",
+             "non-unit-neighbor", "zero-radius", "unit-radius"],
+    )
+    def test_rejects_malformed_input(self, reference, neighbors, radius_sq, match):
+        with pytest.raises(InvalidInput, match=match):
+            TrustSubproblem(np.array(reference), np.array(neighbors), radius_sq)
+
+    def test_missing_compiled_nnls_raises_import_error(self, monkeypatch):
+        # A scipy without the compiled module fails at the first solve.
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        incoframes.minimax._nnls.cache_clear()
+        try:
+            with pytest.raises(ImportError, match="compiled nnls"):
+                incoframes.minimax._nnls()
+        finally:
+            incoframes.minimax._nnls.cache_clear()
 
     def test_caller_arrays_are_copied_not_frozen(self):
         # Float, column-major inputs are the layout a no-copy conversion aliases.
