@@ -13,6 +13,7 @@ frame and the search continues; the best frame ever seen is returned.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -57,6 +58,10 @@ class DesignConfig:
     nonneg: bool = False
 
     def __post_init__(self):
+        for name in ("m", "n_vectors", "sweeps", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not a size either
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
         if self.m < 2 or self.n_vectors < self.m:
             raise InvalidInput(f"need 2 <= m <= N, got m={self.m}, N={self.n_vectors}")
         if self.sweeps < 0:
@@ -183,7 +188,7 @@ def _sweep_inplace(work, cfg, rng):
             counts["solver_stalls"] += 1
             continue
         f = np.maximum(sol.f, 0.0) if cfg.nonneg else sol.f
-        work[:, i] = f / np.linalg.norm(f)
+        work[:, i] = f / math.sqrt(f @ f)  # np.linalg.norm's sum for a 1-D f
         counts["updated"] += 1
     return counts
 

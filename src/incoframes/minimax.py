@@ -12,7 +12,9 @@ in {f : h_j^T f <= t (, f >= 0)} lies exactly sqrt(T) away. On a fixed
 working set (the tight planes, and the zero coordinates in nonneg mode)
 that point is a closed form, affine in t: one non-negative least-squares
 solve (Lawson & Hanson 1974, least-distance programming) finds the set at a
-start level, and a walk of exact events carries it to the optimal level.
+start level. The root of that set is certified first, and only when it
+fails does an event scan run and a walk of exact events carry the set to
+the optimal level.
 
 The multipliers are part of the contract: at an optimum
 
@@ -69,9 +71,10 @@ class TrustSubproblem:
             raise InvalidInput(f"neighbors must be (m, k) with k >= 1, got shape {nb.shape}")
         if not (np.isfinite(h).all() and np.isfinite(nb).all()):
             raise InvalidInput("non-finite entries in subproblem data")
-        if abs(np.linalg.norm(h) - 1.0) > _UNIT_TOL:
+        # np.linalg.norm's own sums, without its dispatch
+        if abs(math.sqrt(h @ h) - 1.0) > _UNIT_TOL:
             raise InvalidInput("reference vector must be unit norm")
-        if np.abs(np.linalg.norm(nb, axis=0) - 1.0).max() > _UNIT_TOL:
+        if np.abs(np.sqrt(np.add.reduce(nb * nb, axis=0)) - 1.0).max() > _UNIT_TOL:
             raise InvalidInput("neighbor columns must be unit norm")
         corr = nb.T @ h
         if corr.min() < -1e-10:
@@ -193,7 +196,7 @@ def _tight_set(h, nb, c, t, nonneg):
     r = int(rows.sum())
     cols = k + r if nonneg else k
     e = np.zeros((r + 1, cols))
-    np.negative(nb[rows], out=e[:r, :k])
+    np.negative(nb[rows] if nonneg else nb, out=e[:r, :k])  # every row in signed mode
     e[r, :k] = c - t
     if nonneg:
         np.fill_diagonal(e[:r, k:], 1.0)
@@ -223,6 +226,20 @@ def _inside(problem, changes):
     return answer if answer.residuals.worst() <= _TOL else None
 
 
+def _root(problem, tight, zero, x, p, f0, f1, top, end, total, changes):
+    """The candidate at the root s = end of a working set, with its residuals:
+    lam = alpha / sum(alpha), lam_ball = 1 / (2 sum(alpha)), sum(alpha) = total."""
+    lam = np.zeros(problem.k)
+    lam[tight] = (x[:, 1] + end * x[:, 0]) / total
+    nu = None
+    if problem.nonneg:
+        nu = np.zeros(problem.m)
+        nu[zero] = (p[zero, 1] + end * p[zero, 0] - problem.reference[zero]) / total
+    candidate = SubproblemSolution(f0 + end * f1, top - end, lam, 0.5 / total, nu, changes)
+    candidate.residuals = kkt_residuals(problem, candidate)
+    return candidate
+
+
 def solve_subproblem(problem):
     """Solve a TrustSubproblem exactly, certified by its KKT residuals.
 
@@ -230,16 +247,19 @@ def solve_subproblem(problem):
     multipliers on a working set (W, B) are alpha = G^-1 (d + s 1), where
     G = H_W^T H_W over the free rows and d = H_W^T h - c_max; the squared
     distance a s^2 + 2 b s + q meets T' = T - ||h_B||^2 at one root. One NNLS
-    gives the set at a start level, and s walks toward the root. At the
-    first event on the way (a multiplier or a slack reaching 0) the set
-    changes, ties going to the lowest index, planes first. At the root
-    lam = alpha / sum(alpha) and lam_ball = 1 / (2 sum(alpha)), returned
-    once ``kkt_residuals``, dual feasibility included, are all within
-    ``_TOL`` (1e-8). Otherwise, or on a singular set, an NNLS at the current
-    level restarts the walk, and a nonneg restart first returns the
-    inactive-ball answer if it is certified. ``iterations`` counts the
-    working-set changes; after ``_MAX_CHANGES`` (100) the solve raises
-    ``SolverStall`` carrying the last candidate (or None).
+    gives the set at a start level. At a root lam = alpha / sum(alpha) and
+    lam_ball = 1 / (2 sum(alpha)), and a candidate is returned once
+    ``kkt_residuals``, dual feasibility included, are all within ``_TOL``
+    (1e-8). The NNLS set's own root is certified first; only when it fails
+    does an event scan run, and s walks toward the root. At the first event
+    on the way (a multiplier or a slack reaching 0) the set changes, ties
+    going to the lowest index, planes first. A root that fails after a scan,
+    or a singular set, restarts the walk from an NNLS at the current level,
+    and a nonneg restart first returns the inactive-ball answer if it is
+    certified. ``iterations`` counts the working-set changes; after
+    ``_MAX_CHANGES`` (100) the solve raises ``SolverStall`` carrying the
+    last candidate a walk reached after an event scan (or None): a failed
+    first root is not carried.
     """
     h, nb, big_t, nonneg = problem.reference, problem.neighbors, problem.radius_sq, problem.nonneg
     k = problem.k
@@ -257,8 +277,10 @@ def solve_subproblem(problem):
                 return inside
             tight, zero = _tight_set(h, nb, c, top - s, nonneg)
         hw = nb[:, tight]
-        hf = np.where(zero[:, None], 0.0, hw)  # H_W on the free rows
-        t_free = big_t - float(h[zero] @ h[zero])
+        hf, t_free = hw, big_t  # H_W on the free rows, T' (no zero row in signed mode)
+        if nonneg:
+            hf = np.where(zero[:, None], 0.0, hw)
+            t_free = big_t - float(h[zero] @ h[zero])
         rhs = np.column_stack([np.ones(hw.shape[1]), hf.T @ h - top])
         try:
             x = np.linalg.solve(hf.T @ hf, rhs)  # alpha = x[:, 1] + s x[:, 0]
@@ -273,10 +295,15 @@ def solve_subproblem(problem):
             end = (t_free - q) / (b + root) if b > 0.0 else (root - b) / a
         else:  # no root: walk to sum(alpha) = 0, or with no tight plane until an event
             end = -b / a if a > 0.0 else math.inf
-        sign = 1.0 if end >= s else -1.0
         p = hw @ x  # H_W alpha = p[:, 1] + s p[:, 0] on every row
-        f0 = np.where(zero, 0.0, h - p[:, 1])  # f = f0 + s f1
-        f1 = np.where(zero, 0.0, -p[:, 0])
+        f0, f1 = h - p[:, 1], -p[:, 0]  # f = f0 + s f1
+        if nonneg:
+            f0[zero] = f1[zero] = 0.0
+        if disc > 0.0 and not changes:  # certify the NNLS set's own root before any scan
+            first = _root(problem, tight, zero, x, p, f0, f1, top, end, b + a * end, changes)
+            if first.residuals.worst() <= _TOL:
+                return first
+        sign = 1.0 if end >= s else -1.0
         hv = nb.T @ np.column_stack([f0, f1])
         # One affine quantity per plane (alpha on W, the slack t - h_j^T f
         # off it) and per coordinate (the bound multiplier on B, f off it).
@@ -297,16 +324,8 @@ def solve_subproblem(problem):
                 zero[event - k] = not zero[event - k]
             continue
         s = end if math.isfinite(end) else s
-        if disc > 0.0:
-            total = b + a * end  # sum(alpha) at the root, sqrt(disc)
-            lam = np.zeros(k)
-            lam[tight] = (x[:, 1] + end * x[:, 0]) / total
-            nu = np.zeros(problem.m) if nonneg else None
-            if nonneg:
-                nu[zero] = (p[zero, 1] + end * p[zero, 0] - h[zero]) / total
-            f = f0 + end * f1
-            candidate = SubproblemSolution(f, top - end, lam, 0.5 / total, nu, changes)
-            candidate.residuals = kkt_residuals(problem, candidate)
+        if disc > 0.0:  # sum(alpha) = b + a end at the root is sqrt(disc)
+            candidate = _root(problem, tight, zero, x, p, f0, f1, top, end, b + a * end, changes)
             if candidate.residuals.worst() <= _TOL:
                 return candidate
         tight = None

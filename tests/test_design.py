@@ -45,6 +45,9 @@ class TestConfigValidation:
             DesignConfig(m=1, n_vectors=4)
         with pytest.raises(InvalidInput):
             DesignConfig(m=6, n_vectors=5)
+        for sizes in [dict(m=4.5, n_vectors=8), dict(m=4, n_vectors=8.0)]:
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                DesignConfig(**sizes)
 
     def test_bad_knobs(self):
         with pytest.raises(InvalidInput):
@@ -53,6 +56,9 @@ class TestConfigValidation:
             DesignConfig(m=4, n_vectors=8, eps_stop=0.0)
         with pytest.raises(InvalidInput):
             DesignConfig(m=4, n_vectors=8, seed=-1)
+        for knobs in [dict(sweeps=2.5), dict(sweeps=True), dict(seed=1.5)]:
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                DesignConfig(m=4, n_vectors=8, **knobs)
 
 class TestInitialization:
     def test_raw_gaussian_coherence_level(self):
