@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateVector, InvalidInput, SolverStall
 from .frames import (
+    _require_ints,
     Frame,
     FrameMetrics,
     correlations,
@@ -58,10 +59,11 @@ class DesignConfig:
     nonneg: bool = False
 
     def __post_init__(self):
-        for name in ("m", "n_vectors", "sweeps", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is not a size either
-                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+        _require_ints(self, "m", "n_vectors", "sweeps", "seed")
+        if type(self.nonneg) is not bool:
+            raise InvalidInput(f"nonneg must be a bool, got {self.nonneg!r}")
+        if type(self.eps_stop) not in (int, float):
+            raise InvalidInput(f"eps_stop must be a real number, got {self.eps_stop!r}")
         if self.m < 2 or self.n_vectors < self.m:
             raise InvalidInput(f"need 2 <= m <= N, got m={self.m}, N={self.n_vectors}")
         if self.sweeps < 0:

@@ -23,6 +23,14 @@ def _frozen(a):
     return a
 
 
+def _require_ints(config, *names):
+    """Raise ``InvalidInput`` unless each named field of ``config`` is an int (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 def unit_columns(a):
     """Return a copy of the matrix ``a`` with every column scaled to unit
     Euclidean norm. Any other rank raises ``InvalidInput``: a stack would be

@@ -12,9 +12,9 @@ in {f : h_j^T f <= t (, f >= 0)} lies exactly sqrt(T) away. On a fixed
 working set (the tight planes, and the zero coordinates in nonneg mode)
 that point is a closed form, affine in t: one non-negative least-squares
 solve (Lawson & Hanson 1974, least-distance programming) finds the set at a
-start level. The root of that set is certified first, and only when it
-fails does an event scan run and a walk of exact events carry the set to
-the optimal level.
+start level, and a walk of exact events carries it to the optimal level.
+Every set's root is certified before its event scan; a stalled solve
+carries the last root the walk reached, or None.
 
 The multipliers are part of the contract: at an optimum
 
@@ -226,20 +226,6 @@ def _inside(problem, changes):
     return answer if answer.residuals.worst() <= _TOL else None
 
 
-def _root(problem, tight, zero, x, p, f0, f1, top, end, total, changes):
-    """The candidate at the root s = end of a working set, with its residuals:
-    lam = alpha / sum(alpha), lam_ball = 1 / (2 sum(alpha)), sum(alpha) = total."""
-    lam = np.zeros(problem.k)
-    lam[tight] = (x[:, 1] + end * x[:, 0]) / total
-    nu = None
-    if problem.nonneg:
-        nu = np.zeros(problem.m)
-        nu[zero] = (p[zero, 1] + end * p[zero, 0] - problem.reference[zero]) / total
-    candidate = SubproblemSolution(f0 + end * f1, top - end, lam, 0.5 / total, nu, changes)
-    candidate.residuals = kkt_residuals(problem, candidate)
-    return candidate
-
-
 def solve_subproblem(problem):
     """Solve a TrustSubproblem exactly, certified by its KKT residuals.
 
@@ -250,16 +236,16 @@ def solve_subproblem(problem):
     gives the set at a start level. At a root lam = alpha / sum(alpha) and
     lam_ball = 1 / (2 sum(alpha)), and a candidate is returned once
     ``kkt_residuals``, dual feasibility included, are all within ``_TOL``
-    (1e-8). The NNLS set's own root is certified first; only when it fails
-    does an event scan run, and s walks toward the root. At the first event
-    on the way (a multiplier or a slack reaching 0) the set changes, ties
-    going to the lowest index, planes first. A root that fails after a scan,
-    or a singular set, restarts the walk from an NNLS at the current level,
-    and a nonneg restart first returns the inactive-ball answer if it is
-    certified. ``iterations`` counts the working-set changes; after
-    ``_MAX_CHANGES`` (100) the solve raises ``SolverStall`` carrying the
-    last candidate a walk reached after an event scan (or None): a failed
-    first root is not carried.
+    (1e-8). Every set's root is certified before its event scan; only when
+    it fails, or the set has none, does the scan run, and s walks toward the
+    root. At the first event on the way (a multiplier or a slack reaching 0)
+    the set changes, ties going to the lowest index, planes first. A failed
+    root with no event before it, or a singular set, restarts the walk from
+    an NNLS at the current level, and a nonneg restart first returns the
+    inactive-ball answer if it is certified. ``iterations`` counts the
+    working-set changes; after ``_MAX_CHANGES`` (100) the solve raises
+    ``SolverStall`` carrying the last root the walk reached (or None): a
+    failed root with an event before it is walked past, not carried.
     """
     h, nb, big_t, nonneg = problem.reference, problem.neighbors, problem.radius_sq, problem.nonneg
     k = problem.k
@@ -290,19 +276,26 @@ def solve_subproblem(problem):
         a, b = float(x[:, 0].sum()), float(x[:, 1].sum())  # sum(alpha) = b + a s
         q = float(rhs[:, 1] @ x[:, 1])
         disc = b * b - a * (q - t_free)
-        if disc > 0.0:
-            root = math.sqrt(disc)
-            end = (t_free - q) / (b + root) if b > 0.0 else (root - b) / a
-        else:  # no root: walk to sum(alpha) = 0, or with no tight plane until an event
-            end = -b / a if a > 0.0 else math.inf
         p = hw @ x  # H_W alpha = p[:, 1] + s p[:, 0] on every row
         f0, f1 = h - p[:, 1], -p[:, 0]  # f = f0 + s f1
         if nonneg:
             f0[zero] = f1[zero] = 0.0
-        if disc > 0.0 and not changes:  # certify the NNLS set's own root before any scan
-            first = _root(problem, tight, zero, x, p, f0, f1, top, end, b + a * end, changes)
-            if first.residuals.worst() <= _TOL:
-                return first
+        if disc > 0.0:  # certify the set's root before any scan
+            root = math.sqrt(disc)
+            end = (t_free - q) / (b + root) if b > 0.0 else (root - b) / a
+            total = b + a * end  # sum(alpha) at the root: sqrt(disc) up to rounding
+            lam = np.zeros(k)
+            lam[tight] = (x[:, 1] + end * x[:, 0]) / total
+            nu = None
+            if nonneg:
+                nu = np.zeros(problem.m)
+                nu[zero] = (p[zero, 1] + end * p[zero, 0] - h[zero]) / total
+            at_root = SubproblemSolution(f0 + end * f1, top - end, lam, 0.5 / total, nu, changes)
+            at_root.residuals = kkt_residuals(problem, at_root)
+            if at_root.residuals.worst() <= _TOL:
+                return at_root
+        else:  # no root: walk to sum(alpha) = 0, or with no tight plane until an event
+            end = -b / a if a > 0.0 else math.inf
         sign = 1.0 if end >= s else -1.0
         hv = nb.T @ np.column_stack([f0, f1])
         # One affine quantity per plane (alpha on W, the slack t - h_j^T f
@@ -324,10 +317,8 @@ def solve_subproblem(problem):
                 zero[event - k] = not zero[event - k]
             continue
         s = end if math.isfinite(end) else s
-        if disc > 0.0:  # sum(alpha) = b + a end at the root is sqrt(disc)
-            candidate = _root(problem, tight, zero, x, p, f0, f1, top, end, b + a * end, changes)
-            if candidate.residuals.worst() <= _TOL:
-                return candidate
+        if disc > 0.0:  # the walk reached a root that failed
+            candidate = at_root
         tight = None
     message = f"no certificate after {_MAX_CHANGES} working-set changes (tol {_TOL:.1e})"
     raise SolverStall(message, solution=candidate)

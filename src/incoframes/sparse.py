@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .frames import Frame, mutual_coherence, random_unit_frame, unit_columns
+from .frames import _require_ints, Frame, mutual_coherence, random_unit_frame, unit_columns
 from .linalg import least_squares, svd
 
 _RESIDUAL_TOL = 1e-12
@@ -116,6 +116,7 @@ class CsExperiment:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "n_signal", "n_atoms", "sparsity", "trials", "seed")
         if self.n_signal < 2 or self.n_atoms < self.n_signal:
             raise InvalidInput(
                 f"need 2 <= N <= M, got N={self.n_signal}, M={self.n_atoms}"

@@ -59,6 +59,12 @@ class TestConfigValidation:
         for knobs in [dict(sweeps=2.5), dict(sweeps=True), dict(seed=1.5)]:
             with pytest.raises(InvalidInput, match="must be an integer"):
                 DesignConfig(m=4, n_vectors=8, **knobs)
+        for knobs in [dict(nonneg="no"), dict(nonneg=1), dict(nonneg=None)]:
+            with pytest.raises(InvalidInput, match="nonneg must be a bool"):
+                DesignConfig(m=4, n_vectors=8, sweeps=2, **knobs)
+        for eps_stop in ["0.1", True, None]:
+            with pytest.raises(InvalidInput, match="eps_stop must be a real number"):
+                DesignConfig(m=4, n_vectors=8, eps_stop=eps_stop)
 
 class TestInitialization:
     def test_raw_gaussian_coherence_level(self):

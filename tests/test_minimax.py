@@ -233,6 +233,27 @@ class TestCertificate:
         assert np.array_equal(sol.f, want.f) and sol.t == want.t
         assert np.array_equal(sol.bound_lam, want.bound_lam)
 
+    def test_stall_carries_the_reached_root(self, monkeypatch):
+        # With f_2 pinned to 0 on every set, the walk reaches the pinned
+        # set's root with no event before it, and that root fails on its
+        # bound multiplier. A stall at the change cap carries it.
+        prob = TrustSubproblem(
+            np.array([1.0, 0.0]), np.array([[0.5], [-self.SIN60]]), 0.5, nonneg=True
+        )
+        tight_set = incoframes.minimax._tight_set
+
+        def pin(h, nb, c, t, nonneg):
+            return tight_set(h, nb, c, t, nonneg)[0], np.array([False, True])
+
+        monkeypatch.setattr(incoframes.minimax, "_tight_set", pin)
+        monkeypatch.setattr(incoframes.minimax, "_MAX_CHANGES", 0)
+        with pytest.raises(SolverStall) as info:
+            solve_subproblem(prob)
+        root = info.value.solution
+        assert root is not None and root.iterations == 0
+        np.testing.assert_allclose(root.f, [1.0 - self.ROOT, 0.0], atol=1e-12)
+        assert root.residuals.dual == pytest.approx(self.SIN60, abs=1e-12)
+
 
 class TestNonnegativeVariant:
     def test_solution_stays_nonnegative(self):

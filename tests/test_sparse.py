@@ -239,6 +239,13 @@ class TestCsExperiment:
             CsExperiment(n_signal=10, n_atoms=20, sparsity=2, trials=0)
         with pytest.raises(InvalidInput):
             CsExperiment(n_signal=10, n_atoms=20, sparsity=2, trials=10, seed=-1)
+        base = dict(n_signal=12, n_atoms=18, sparsity=2, trials=3, seed=1)
+        for bad in [
+            dict(n_signal=12.0), dict(n_atoms=18.5), dict(sparsity=2.5), dict(trials=3.0),
+            dict(trials=True), dict(seed=1.5), dict(seed="1"), dict(seed=True),
+        ]:
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                CsExperiment(**{**base, **bad})
 
     def test_deterministic_for_fixed_seed(self):
         exp = CsExperiment(n_signal=20, n_atoms=30, sparsity=2, trials=40, seed=11)
