@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DegenerateVector, InvalidInput, SolverStall
 from .frames import (
+    _require_bool,
     _require_ints,
     Frame,
     FrameMetrics,
@@ -60,8 +61,7 @@ class DesignConfig:
 
     def __post_init__(self):
         _require_ints(self, "m", "n_vectors", "sweeps", "seed")
-        if type(self.nonneg) is not bool:
-            raise InvalidInput(f"nonneg must be a bool, got {self.nonneg!r}")
+        _require_bool("nonneg", self.nonneg)
         if type(self.eps_stop) not in (int, float):
             raise InvalidInput(f"eps_stop must be a real number, got {self.eps_stop!r}")
         if self.m < 2 or self.n_vectors < self.m:
@@ -164,6 +164,8 @@ def subproblem(frame, i, nonneg=False):
     applies, so the simplex ETF, where every neighbor ties, has one too.
     Raises DegenerateVector if vector i duplicates another.
     """
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise InvalidInput(f"column index must be an integer, got {i!r}")
     if not 0 <= i < frame.n_vectors:
         raise InvalidInput(f"column index {i} out of range for N={frame.n_vectors}")
     return _prepare(np.array(frame.vectors, order="F", copy=True), i, nonneg, tie_gate=False)

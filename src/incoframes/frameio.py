@@ -22,7 +22,7 @@ import numpy as np
 from ._version import __version__ as _version
 from .errors import FrameFormatError, InvalidInput
 from .design import _RADIUS_SLACK
-from .frames import _UNIT_TOL, Frame, correlations, mutual_coherence, welch_bound
+from .frames import _UNIT_TOL, _require_bool, Frame, correlations, mutual_coherence, welch_bound
 from .minimax import _TOL
 
 _FORMAT_NAME = "incoframes-frame"
@@ -45,17 +45,20 @@ def environment_fingerprint():
 
 def write_frame(path, frame, seed=None, nonneg=False):
     """Write a frame file: one JSON header line, then m rows of repr floats."""
+    if seed is not None and type(seed) is not int:
+        raise InvalidInput(f"seed must be None or an integer, got {seed!r}")
+    _require_bool("nonneg", nonneg)
     header = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
         "m": frame.m,
         "n_vectors": frame.n_vectors,
         "coherence": mutual_coherence(frame),
-        "nonneg": bool(nonneg),
+        "nonneg": nonneg,
         "creator": f"incoframes {_version}",
     }
     if seed is not None:
-        header["seed"] = int(seed)
+        header["seed"] = seed
     lines = [json.dumps(header, sort_keys=True)]
     for row in frame.vectors:
         lines.append(",".join(repr(float(x)) for x in row))

@@ -31,6 +31,12 @@ def _require_ints(config, *names):
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
+def _require_bool(name, value):
+    """Raise ``InvalidInput`` unless ``value`` is a bool: a truthy string or int is not."""
+    if type(value) is not bool:
+        raise InvalidInput(f"{name} must be a bool, got {value!r}")
+
+
 def unit_columns(a):
     """Return a copy of the matrix ``a`` with every column scaled to unit
     Euclidean norm. Any other rank raises ``InvalidInput``: a stack would be

@@ -33,14 +33,14 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, SolverStall
-from .frames import _UNIT_TOL, _frozen
+from .frames import _UNIT_TOL, _frozen, _require_bool
 
 _TOL = 1e-8  # each KKT residual of a returned solution, inside the 10 * _TOL contract
 _MAX_CHANGES = 100  # working-set changes (walk events and NNLS restarts) per solve
@@ -63,6 +63,7 @@ class TrustSubproblem:
     nonneg: bool = False
 
     def __post_init__(self):
+        _require_bool("nonneg", self.nonneg)
         h = _frozen(self.reference)
         nb = _frozen(self.neighbors)
         if h.ndim != 1 or h.size < 2:
@@ -164,20 +165,17 @@ def kkt_residuals(problem, solution):
 
 @functools.cache
 def _nnls():
-    """scipy's compiled Lawson-Hanson ``nnls(A, b, maxiter) -> (x, rnorm, info)``,
-    loaded by file: importing ``scipy.optimize`` costs about 0.5 s and 20 MB."""
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "optimize"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_slsqplib{suffix}"
-        if path.is_file():
-            loader = importlib.machinery.ExtensionFileLoader("scipy.optimize._slsqplib", str(path))
-            spec = importlib.util.spec_from_loader(loader.name, loader)
-            module = importlib.util.module_from_spec(spec)
-            loader.exec_module(module)
-            return module.nnls
-    raise ImportError(f"solve_subproblem needs scipy 1.17's compiled nnls, not {scipy.__version__}")
+    """scipy's compiled Lawson-Hanson ``nnls(A, b, maxiter) -> (x, rnorm, info)``, found and
+    loaded with no scipy package code run: ``import scipy.optimize`` costs 0.5 s and 20 MB."""
+    scipy = importlib.util.find_spec("scipy")
+    places = [f"{place}/optimize" for place in scipy.submodule_search_locations] if scipy else []
+    found = importlib.machinery.PathFinder.find_spec("_slsqplib", places)
+    if found is None:
+        raise ImportError("solve_subproblem needs the compiled nnls of scipy 1.17 or later")
+    loader = importlib.machinery.ExtensionFileLoader("scipy.optimize._slsqplib", found.origin)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return sys.modules.setdefault(loader.name, module).nnls
 
 
 def _tight_set(h, nb, c, t, nonneg):

@@ -157,6 +157,15 @@ class TestSubproblem:
             with pytest.raises(InvalidInput):
                 subproblem(frame, i)
 
+    def test_index_must_be_an_integer(self):
+        # Sweeps pass numpy integers; a float, a bool or a string is no index.
+        frame = random_unit_frame(4, 9, seed=6)
+        for i in (1.0, True, np.bool_(True), "1", np.float64(1.0)):
+            with pytest.raises(InvalidInput, match="column index must be an integer"):
+                subproblem(frame, i)
+        want = subproblem(frame, 1)
+        assert np.array_equal(subproblem(frame, np.int64(1)).neighbors, want.neighbors)
+
     @pytest.mark.parametrize("nonneg", [False, True], ids=["signed", "nonneg"])
     def test_sweep_solves_the_same_problem(self, monkeypatch, nonneg):
         frame = seeded_start(DesignConfig(m=7, n_vectors=18, seed=12, nonneg=nonneg))

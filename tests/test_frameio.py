@@ -59,6 +59,18 @@ class TestFrameFile:
         write_frame(p2, loaded, seed=42)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(seed=1.5), dict(seed=True), dict(seed="x"), dict(nonneg="no"), dict(nonneg=1)],
+        ids=["seed-float", "seed-bool", "seed-str", "nonneg-str", "nonneg-int"],
+    )
+    def test_header_types_checked(self, tmp_path, frame_7x15, fields):
+        # Each of these was written as a different, valid-looking header.
+        path = tmp_path / "f.frame"
+        with pytest.raises(InvalidInput, match="must be"):
+            write_frame(path, frame_7x15, **fields)
+        assert not path.exists()
+
     def test_extra_header_fields(self, tmp_path, frame_7x15):
         # Header keys the reader does not know, say added by hand, load and
         # come back with the header.

@@ -44,3 +44,15 @@ def test_square_nonneg_runs_never_stall(m, seeds, sweeps):
     for seed in seeds:
         _, report = run(DesignConfig(m=m, n_vectors=m, sweeps=sweeps, seed=seed, nonneg=True))
         assert sum(report.solver_stalls) == 0, (m, seed)
+
+
+def test_last_square_nonneg_stall_is_counted_and_skipped():
+    # The one square nonneg run that still stalls, once in sweep 3: the sweep
+    # counts the stall and goes on, each sweep's counts sum to N and the trace
+    # never rises. Mending that stall moves this case into
+    # test_square_nonneg_runs_never_stall.
+    _, report = run(DesignConfig(m=5, n_vectors=5, sweeps=40, seed=9, nonneg=True))
+    assert report.solver_stalls == [0, 0, 1] + [0] * 37
+    counts = zip(report.updated, report.tie_skips, report.solver_stalls, report.degenerate)
+    assert all(sum(sweep) == 5 for sweep in counts)
+    assert all(b <= a for a, b in zip(report.trace, report.trace[1:]))

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import importlib.machinery
+import importlib.util
 import math
 from pathlib import Path
 
@@ -290,30 +291,40 @@ class TestValidationAndFailure:
             TrustSubproblem(h, nb, 0.5)  # 1 - 0.8^2 = 0.36 < 0.5
 
     @pytest.mark.parametrize(
-        "reference, neighbors, radius_sq, match",
+        "reference, neighbors, radius_sq, nonneg, match",
         [
-            ([1.0], [[1.0]], 0.5, "reference must be a vector"),
-            ([1.0, 0.0], [0.0, 1.0], 0.5, "neighbors must be"),
-            ([1.0, 0.0], [[0.0, 1.0]], 0.5, "neighbors must be"),
-            ([1.0, np.nan], [[0.0], [1.0]], 0.5, "non-finite"),
-            ([1.0, 0.0], [[0.0], [2.0]], 0.5, "neighbor columns must be unit"),
-            ([1.0, 0.0], [[0.0], [1.0]], 0.0, "must lie in"),
-            ([1.0, 0.0], [[0.0], [1.0]], 1.0, "must lie in"),
+            ([1.0], [[1.0]], 0.5, False, "reference must be a vector"),
+            ([1.0, 0.0], [0.0, 1.0], 0.5, False, "neighbors must be"),
+            ([1.0, 0.0], [[0.0, 1.0]], 0.5, False, "neighbors must be"),
+            ([1.0, np.nan], [[0.0], [1.0]], 0.5, False, "non-finite"),
+            ([1.0, 0.0], [[0.0], [2.0]], 0.5, False, "neighbor columns must be unit"),
+            ([1.0, 0.0], [[0.0], [1.0]], 0.0, False, "must lie in"),
+            ([1.0, 0.0], [[0.0], [1.0]], 1.0, False, "must lie in"),
+            # A truthy or falsy stand-in would pick the nonneg or signed path.
+            ([1.0, 0.0], [[0.0], [1.0]], 0.5, "no", "nonneg must be a bool"),
+            ([1.0, 0.0], [[0.0], [1.0]], 0.5, 1, "nonneg must be a bool"),
+            ([1.0, 0.0], [[0.0], [1.0]], 0.5, 0.0, "nonneg must be a bool"),
         ],
         ids=["short-reference", "flat-neighbors", "neighbor-rows", "non-finite",
-             "non-unit-neighbor", "zero-radius", "unit-radius"],
+             "non-unit-neighbor", "zero-radius", "unit-radius", "nonneg-str", "nonneg-int",
+             "nonneg-float"],
     )
-    def test_rejects_malformed_input(self, reference, neighbors, radius_sq, match):
+    def test_rejects_malformed_input(self, reference, neighbors, radius_sq, nonneg, match):
         with pytest.raises(InvalidInput, match=match):
-            TrustSubproblem(np.array(reference), np.array(neighbors), radius_sq)
+            TrustSubproblem(np.array(reference), np.array(neighbors), radius_sq, nonneg=nonneg)
 
-    def test_missing_compiled_nnls_raises_import_error(self, monkeypatch):
-        # A scipy without the compiled module fails at the first solve.
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-        incoframes.minimax._nnls.cache_clear()
+    def test_missing_compiled_nnls_raises_import_error(self, tmp_path, monkeypatch):
+        # A scipy whose optimize folder lacks the compiled module, or no scipy
+        # at all, fails at the first solve.
+        (tmp_path / "optimize").mkdir()
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations = [str(tmp_path)]
         try:
-            with pytest.raises(ImportError, match="compiled nnls"):
-                incoframes.minimax._nnls()
+            for found in (scipy, None):
+                monkeypatch.setattr(importlib.util, "find_spec", lambda name: found)
+                incoframes.minimax._nnls.cache_clear()
+                with pytest.raises(ImportError, match="compiled nnls"):
+                    incoframes.minimax._nnls()
         finally:
             incoframes.minimax._nnls.cache_clear()
 
